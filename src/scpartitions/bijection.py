@@ -90,7 +90,7 @@ def psi(m: int, mu: Partition) -> Partition:
     mu_{s+k+1} <= s (parts beyond the last count as 0), and r = s + k;
     for even m = 2k a unique r >= 0 with mu_r >= r + k and
     mu_{r+1} <= r + k (vacuous first condition at r = 0), and s = r + k.
-    Uniqueness is asserted rather than assumed.
+    Uniqueness is checked rather than assumed.
     """
     if m < 0:
         raise ValueError(f"class index must be >= 0, got {m}")
@@ -103,7 +103,8 @@ def psi(m: int, mu: Partition) -> Partition:
     if m % 2:
         k = (m + 1) // 2
         found = [s for s in range(ell + 2) if at(s + k) >= s and at(s + k + 1) <= s]
-        assert len(found) == 1, f"split index not unique for m={m}, mu=({mu}): {found}"
+        if len(found) != 1:
+            raise RuntimeError(f"split index not unique for m={m}, mu=({mu}): {found}")
         s = found[0]
         r = s + k
     else:
@@ -113,12 +114,14 @@ def psi(m: int, mu: Partition) -> Partition:
             for r in range(ell + 2)
             if (r == 0 or at(r) >= r + k) and at(r + 1) <= r + k
         ]
-        assert len(found) == 1, f"split index not unique for m={m}, mu=({mu}): {found}"
+        if len(found) != 1:
+            raise RuntimeError(f"split index not unique for m={m}, mu=({mu}): {found}")
         r = found[0]
         s = r + k
 
     gamma = list(Partition(parts[r:]).conjugate().parts)
-    assert len(gamma) <= s, f"conjugate tail exceeds {s} parts for m={m}, mu=({mu})"
+    if len(gamma) > s:
+        raise RuntimeError(f"conjugate tail exceeds {s} parts for m={m}, mu=({mu})")
     gamma += [0] * (s - len(gamma))
     a = [at(i) - i - s + r for i in range(1, r + 1)]
     b = [gamma[j - 1] + s - j + 1 for j in range(1, s + 1)]

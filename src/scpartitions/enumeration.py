@@ -256,7 +256,8 @@ def anderson_count(t1: int, t2: int) -> int:
         raise ValueError(f"moduli ({t1}, {t2}) are not coprime")
     total = t1 + t2
     q, rem = divmod(math.comb(total, t1), total)
-    assert rem == 0, f"binomial not divisible by {total}"
+    if rem:
+        raise ArithmeticError(f"binomial not divisible by {total}")
     return q
 
 
@@ -279,7 +280,8 @@ def wang_count(n: int, d: int) -> int:
         raise ValueError(f"parameters ({n}, {d}) are not coprime")
     total = sum(_multinomial(n + d, i, i + d, n - 2 * i) for i in range(n // 2 + 1))
     q, rem = divmod(total, n + d)
-    assert rem == 0, f"multinomial sum not divisible by {n + d}"
+    if rem:
+        raise ArithmeticError(f"multinomial sum not divisible by {n + d}")
     return q
 
 
@@ -287,7 +289,8 @@ def catalan(n: int) -> int:
     """Catalan number: binom(2n, n)/(n + 1), exactly."""
     _check_nonneg(n)
     q, rem = divmod(math.comb(2 * n, n), n + 1)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"binomial not divisible by {n + 1}")
     return q
 
 

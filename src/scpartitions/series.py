@@ -4,11 +4,14 @@ A series of order N stores coefficients of q^0 .. q^N; addition and
 multiplication are exact modulo q^(N+1). Coefficients are plain Python
 integers, so identity checks can never wrap. Infinite products are cut
 at the first factor whose lowest non-constant exponent exceeds N, which
-leaves every kept coefficient exact.
+leaves every kept coefficient exact. The product builders apply each
+sparse factor, 1/(1 - q^k) or 1 +- q^k, as one O(N) pass over the
+coefficients, so a product of O(N) factors costs O(N^2).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -32,7 +35,10 @@ class TruncatedSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int], order: int | None = None):
-        cs = [int(c) for c in coeffs]
+        try:
+            cs = [operator.index(c) for c in coeffs]
+        except TypeError as exc:
+            raise ValueError(f"coefficients must be integers: {exc}") from exc
         if order is None:
             if not cs:
                 cs = [0]
@@ -43,6 +49,13 @@ class TruncatedSeries:
             raise ValueError(f"{len(cs)} coefficients exceed order {order}")
         cs.extend([0] * (order + 1 - len(cs)))
         self._coeffs = tuple(cs)
+
+    @classmethod
+    def _from_coeffs(cls, coeffs: Iterable[int]) -> "TruncatedSeries":
+        # Trusted constructor for coefficients computed here from a series' ints.
+        self = cls.__new__(cls)
+        self._coeffs = tuple(coeffs)
+        return self
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -121,10 +134,23 @@ class TruncatedSeries:
         """Multiply by 1 + q^period + q^(2*period) + ... (divide by 1 - q^period)."""
         if period < 1:
             raise ValueError(f"period must be >= 1, got {period}")
-        out = list(self._coeffs)
-        for k in range(period, self.order + 1):
-            out[k] += out[k - period]
-        return TruncatedSeries(out, self.order)
+        # out[k] = c[k] + out[k - period], one block of `period` terms at a time.
+        c = self._coeffs
+        out = list(c[:period])
+        for start in range(period, len(c), period):
+            out += map(operator.add, c[start : start + period], out[start - period : start])
+        return TruncatedSeries._from_coeffs(out)
+
+    def times_binomial(self, exponent: int, sign: int) -> "TruncatedSeries":
+        """Multiply by 1 + sign * q^exponent, for sign = 1 or -1."""
+        if exponent < 1:
+            raise ValueError(f"exponent must be >= 1, got {exponent}")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be 1 or -1, got {sign}")
+        # out[k] = c[k] + sign * c[k - exponent] for k >= exponent, in one pass.
+        c = self._coeffs
+        combine = operator.add if sign == 1 else operator.sub
+        return TruncatedSeries._from_coeffs(c[:exponent] + tuple(map(combine, c[exponent:], c)))
 
     def to_json_dict(self) -> dict:
         return {"order": self.order, "coefficients": list(self._coeffs)}
@@ -179,10 +205,6 @@ def triangular_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs, order)
 
 
-def _one_minus(order: int, exponent: int) -> TruncatedSeries:
-    return TruncatedSeries.one(order) - TruncatedSeries.monomial(order, exponent)
-
-
 def core_product_series(t: int, order: int) -> TruncatedSeries:
     """Product expansion of the t-core counting series.
 
@@ -195,9 +217,8 @@ def core_product_series(t: int, order: int) -> TruncatedSeries:
     for n in range(1, order + 1):
         out = out.times_geometric(n)
     for n in range(1, order // t + 1):
-        factor = _one_minus(order, n * t)
         for _ in range(t):
-            out = out * factor
+            out = out.times_binomial(n * t, -1)
     return out
 
 
@@ -211,13 +232,10 @@ def sc_even_core_product_series(t: int, order: int) -> TruncatedSeries:
         raise ValueError(f"modulus must be a positive integer, got {t}")
     out = TruncatedSeries.one(order)
     for n in range(1, order // (4 * t) + 1):
-        factor = _one_minus(order, 4 * n * t)
         for _ in range(t):
-            out = out * factor
-    n = 1
-    while 2 * n - 1 <= order:
-        out = out * (TruncatedSeries.one(order) + TruncatedSeries.monomial(order, 2 * n - 1))
-        n += 1
+            out = out.times_binomial(4 * n * t, -1)
+    for odd in range(1, order + 1, 2):
+        out = out.times_binomial(odd, 1)
     return out
 
 
@@ -227,10 +245,6 @@ def gauss_product_series(order: int) -> TruncatedSeries:
     Equals the triangular-exponent series to any order.
     """
     out = TruncatedSeries.one(order)
-    n = 1
-    while 2 * n - 1 <= order:
-        out = out.times_geometric(2 * n - 1)
-        if 2 * n <= order:
-            out = out * _one_minus(order, 2 * n)
-        n += 1
+    for odd in range(1, order + 1, 2):
+        out = out.times_geometric(odd).times_binomial(odd + 1, -1)
     return out

@@ -27,6 +27,11 @@ class SweepBounds:
     max_class: int = 6
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("max_weight", "order", "max_mu_weight", "max_class"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -529,7 +534,7 @@ def run_check(theorem: str, **overrides) -> VerificationReport:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         theorem=theorem,
-        passed=counterexample is None,
+        passed=counterexample is None and cases > 0,
         params=params,
         cases=cases,
         counterexample=counterexample,

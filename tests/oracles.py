@@ -58,3 +58,55 @@ def partitions_brute(n, cap=None):
         for rest in partitions_brute(n - first, first):
             out.append((first,) + rest)
     return tuple(out)
+
+
+def dense_product(a, b, order):
+    """Truncated product of two coefficient lists by the schoolbook double loop."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x:
+            for j, y in enumerate(b[: order + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def expand_factors(factors, order):
+    """Multiply out a list of factors, each a full coefficient list."""
+    out = [1] + [0] * order
+    for factor in factors:
+        out = dense_product(factor, out, order)
+    return out
+
+
+def binomial_factor(k, sign, order):
+    """Coefficients of 1 + sign * q^k truncated at q^order."""
+    out = [1] + [0] * order
+    if k <= order:
+        out[k] += sign
+    return out
+
+
+def geometric_factor(k, order):
+    """Coefficients of 1 / (1 - q^k) = 1 + q^k + q^2k + ... truncated at q^order."""
+    return [1 if i % k == 0 else 0 for i in range(order + 1)]
+
+
+def core_product_dense(t, order):
+    """prod (1 - q^(nt))^t / (1 - q^n), every factor expanded as a full series."""
+    factors = [geometric_factor(n, order) for n in range(1, order + 1)]
+    factors += [binomial_factor(n * t, -1, order) for n in range(1, order // t + 1)] * t
+    return expand_factors(factors, order)
+
+
+def sc_even_core_product_dense(t, order):
+    """prod (1 - q^(4nt))^t (1 + q^(2n-1)), every factor expanded as a full series."""
+    factors = [binomial_factor(4 * n * t, -1, order) for n in range(1, order // (4 * t) + 1)] * t
+    factors += [binomial_factor(k, 1, order) for k in range(1, order + 1, 2)]
+    return expand_factors(factors, order)
+
+
+def gauss_product_dense(order):
+    """prod (1 - q^(2n)) / (1 - q^(2n-1)), every factor expanded as a full series."""
+    factors = [geometric_factor(k, order) for k in range(1, order + 1, 2)]
+    factors += [binomial_factor(k, -1, order) for k in range(2, order + 1, 2)]
+    return expand_factors(factors, order)

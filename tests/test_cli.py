@@ -164,6 +164,29 @@ class TestVerify:
             cli.main(["verify", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["prop2.3", "--max-weight", "-5"], "max_weight"),
+            (["cor4.8", "--max-m", "-3"], "max_class"),
+            (["gauss", "--order", "-1"], "order"),
+            (["thm3.1", "--max-mu", "-2"], "max_mu_weight"),
+        ],
+    )
+    def test_negative_bound_exits_two(self, capsys, argv, bound):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{bound} must be >= 0" in err
+
+    def test_zero_cases_exits_one(self, capsys):
+        code, out, err = run(capsys, "verify", "prop4.2", "--max-weight", "0")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["passed"] is False
+        assert obj["cases"] == 0
+        assert "prop4.2: FAIL" in err
+
     def test_failure_exits_one_with_counterexample(self, capsys, monkeypatch):
         def fake_run_check(theorem, **bounds):
             return VerificationReport(

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import core_product_dense, gauss_product_dense, sc_even_core_product_dense
 from scpartitions import (
     TruncatedSeries,
     check_identity,
@@ -51,11 +54,83 @@ class TestArithmetic:
         one_minus = TruncatedSeries.one(6) - TruncatedSeries.monomial(6, 2)
         assert s * one_minus == TruncatedSeries.one(6)
 
+    def test_non_integer_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            TruncatedSeries([1.9, 2.5, True], 3)
+        with pytest.raises(ValueError, match="integers"):
+            TruncatedSeries(["1"], 0)
+
+    def test_bool_coefficients_are_integers(self):
+        assert TruncatedSeries([True, False], 2).coeffs == (1, 0, 0)
+
     def test_json_round_trip(self):
         s = TruncatedSeries([3, 0, -2], order=5)
         obj = s.to_json_dict()
         assert obj == {"order": 5, "coefficients": [3, 0, -2, 0, 0, 0]}
         assert TruncatedSeries.from_json_dict(obj) == s
+
+
+class TestTimesBinomial:
+    def test_plus(self):
+        s = TruncatedSeries([1, 2, 3, 4, 5], 4).times_binomial(2, 1)
+        assert s.coeffs == (1, 2, 4, 6, 8)
+
+    def test_minus(self):
+        s = TruncatedSeries([1, 2, 3, 4, 5], 4).times_binomial(2, -1)
+        assert s.coeffs == (1, 2, 2, 2, 2)
+
+    def test_matches_dense_product(self):
+        s = TruncatedSeries([3, -1, 4, 1, -5, 9], 5)
+        for k in range(1, 6):
+            for sign in (1, -1):
+                factor = TruncatedSeries.one(5) + TruncatedSeries.monomial(5, k, sign)
+                assert s.times_binomial(k, sign) == s * factor
+
+    def test_exponent_above_order_is_identity(self):
+        s = TruncatedSeries([1, 2, 3], 2)
+        assert s.times_binomial(3, 1) == s
+        assert s.times_binomial(50, -1) == s
+
+    @pytest.mark.parametrize("exponent", [0, -1])
+    def test_exponent_below_one_rejected(self, exponent):
+        with pytest.raises(ValueError, match="exponent"):
+            TruncatedSeries.one(4).times_binomial(exponent, 1)
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_sign_other_than_one_rejected(self, sign):
+        with pytest.raises(ValueError, match="sign"):
+            TruncatedSeries.one(4).times_binomial(1, sign)
+
+    def test_geometric_period_below_one_rejected(self):
+        with pytest.raises(ValueError, match="period"):
+            TruncatedSeries.one(4).times_geometric(0)
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=15), st.integers(1, 20))
+def test_geometric_undoes_one_minus(coeffs, k):
+    s = TruncatedSeries(coeffs)
+    assert s.times_binomial(k, -1).times_geometric(k) == s
+
+
+BUILDER_ORDERS = (0, 1, 2, 7, 40, 200)
+BUILDER_MODULI = (1, 2, 3, 5, 7)
+
+
+class TestBuildersMatchDenseExpansion:
+    @pytest.mark.parametrize("order", BUILDER_ORDERS)
+    @pytest.mark.parametrize("t", BUILDER_MODULI)
+    def test_core_product(self, t, order):
+        assert list(core_product_series(t, order).coeffs) == core_product_dense(t, order)
+
+    @pytest.mark.parametrize("order", BUILDER_ORDERS)
+    @pytest.mark.parametrize("t", BUILDER_MODULI)
+    def test_sc_even_core_product(self, t, order):
+        got = sc_even_core_product_series(t, order).coeffs
+        assert list(got) == sc_even_core_product_dense(t, order)
+
+    @pytest.mark.parametrize("order", BUILDER_ORDERS)
+    def test_gauss_product(self, order):
+        assert list(gauss_product_series(order).coeffs) == gauss_product_dense(order)
 
 
 class TestTriangular:

@@ -39,6 +39,24 @@ def test_run_all_covers_registry():
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize(
+    "bound", ["max_weight", "order", "max_mu_weight", "max_class"]
+)
+def test_negative_bound_rejected(bound):
+    with pytest.raises(ValueError, match=f"{bound} must be >= 0"):
+        verify.SweepBounds(**{bound: -1})
+    with pytest.raises(ValueError, match=f"{bound} must be >= 0"):
+        verify.run_check("prop2.3", **{bound: -1})
+
+
+@pytest.mark.parametrize("theorem", ["prop4.2", "lem4.1"])
+def test_check_with_no_cases_does_not_pass(theorem):
+    report = verify.run_check(theorem, max_weight=0)
+    assert report.cases == 0
+    assert report.counterexample is None
+    assert not report.passed
+
+
 def test_report_serializes_to_json():
     report = verify.run_check("gauss", order=10)
     obj = report.to_json_dict()
