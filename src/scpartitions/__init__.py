@@ -1,115 +1,20 @@
 """Self-conjugate partitions: hook lengths, class correspondences, core
 counting, and exact truncated-series identity checks."""
 
-from .partitions import (
-    DiagonalClasses,
-    Partition,
-    PartitionError,
-    beta_from_diagonal,
-    parse_partition,
-    sc_from_diagonal,
-    split_diagonal_classes,
-)
-from .bijection import (
-    DiagonalSequencePair,
-    PhiImage,
-    classify,
-    complement_beta,
-    corresponding_partition_after_deletion,
-    delete_principal_hook,
-    diagonal_sequence_pair,
-    half_even_beta,
-    phi,
-    psi,
-)
-from .enumeration import (
-    CountTable,
-    anderson_count,
-    catalan,
-    core_count_table,
-    core_count_tables,
-    count_sc_m,
-    count_sc_sim_core_m,
-    count_t_core,
-    distinct_odd_decompositions,
-    enumerate_simultaneous_cores,
-    motzkin,
-    partition_count,
-    partition_count_table,
-    partitions_of,
-    sc_core_count_table,
-    sc_count_table,
-    sc_sim_core_count_table,
-    self_conjugate_of,
-    sim_core_count_table,
-    sufficient_core_bound,
-    wang_count,
-)
-from .series import (
-    IdentityCheck,
-    TruncatedSeries,
-    check_identity,
-    core_product_series,
-    gauss_product_series,
-    sc_even_core_product_series,
-    series_from_counts,
-    triangular_series,
-)
-from .verify import SweepBounds, VerificationReport, all_ids, run_all, run_check
+from . import bijection, enumeration, partitions, series, verify
+from .partitions import *  # noqa: F401,F403
+from .bijection import *  # noqa: F401,F403
+from .enumeration import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiagonalClasses",
-    "Partition",
-    "PartitionError",
-    "beta_from_diagonal",
-    "parse_partition",
-    "sc_from_diagonal",
-    "split_diagonal_classes",
-    "DiagonalSequencePair",
-    "PhiImage",
-    "classify",
-    "complement_beta",
-    "corresponding_partition_after_deletion",
-    "delete_principal_hook",
-    "diagonal_sequence_pair",
-    "half_even_beta",
-    "phi",
-    "psi",
-    "CountTable",
-    "anderson_count",
-    "catalan",
-    "core_count_table",
-    "core_count_tables",
-    "count_sc_m",
-    "count_sc_sim_core_m",
-    "count_t_core",
-    "distinct_odd_decompositions",
-    "enumerate_simultaneous_cores",
-    "motzkin",
-    "partition_count",
-    "partition_count_table",
-    "partitions_of",
-    "sc_core_count_table",
-    "sc_count_table",
-    "sc_sim_core_count_table",
-    "self_conjugate_of",
-    "sim_core_count_table",
-    "sufficient_core_bound",
-    "wang_count",
-    "IdentityCheck",
-    "TruncatedSeries",
-    "check_identity",
-    "core_product_series",
-    "gauss_product_series",
-    "sc_even_core_product_series",
-    "series_from_counts",
-    "triangular_series",
-    "SweepBounds",
-    "VerificationReport",
-    "all_ids",
-    "run_all",
-    "run_check",
+    *partitions.__all__,
+    *bijection.__all__,
+    *enumeration.__all__,
+    *series.__all__,
+    *verify.__all__,
     "__version__",
 ]

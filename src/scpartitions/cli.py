@@ -166,19 +166,27 @@ def _cmd_series(args) -> int:
     return 0
 
 
+# (flag, SweepBounds field, help) of each verify bound; the field is the flag's argparse dest.
+_BOUND_FLAGS = (
+    ("--max-weight", "max_weight", "partition-weight sweep bound"),
+    ("--order", "order", "series truncation order"),
+    ("--max-mu", "max_mu_weight", "image-weight bound for round trips"),
+    ("--max-m", "max_class", "largest class index swept"),
+)
+
+
 def _cmd_verify(args) -> int:
     if args.format == "csv":
         raise UsageError("verify supports only --format json")
     ids = verify.all_ids() if args.all else [args.theorem]
     if not args.all and args.theorem is None:
         raise UsageError("a theorem id or --all is required")
-    bounds = {
-        "max_weight": args.max_weight,
-        "order": args.order,
-        "max_mu_weight": args.max_mu,
-        "max_class": args.max_m,
-        "seed": args.seed,
-    }
+    bounds = {"seed": args.seed}
+    for flag, field, _ in _BOUND_FLAGS:
+        value = getattr(args, field)
+        if value < 0:
+            raise UsageError(f"{flag} must be >= 0, got {value}")
+        bounds[field] = value
     reports = []
     for theorem in ids:
         report = verify.run_check(theorem, **bounds)
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (csv applies to count tables only)",
     )
     common.add_argument("--out", help=f"write output to a file (relative to ${OUT_DIR_ENV} if set)")
-    common.add_argument("--verbose", action="store_true", help="print diagrams/progress to stderr")
+    common.add_argument("--verbose", action="store_true", help="diagrams to stderr (map, inverse)")
 
     parser = argparse.ArgumentParser(
         prog="scpart",
@@ -252,10 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="check id: " + ", ".join(verify.all_ids()),
     )
     p_verify.add_argument("--all", action="store_true", help="run every registered check")
-    p_verify.add_argument("--max-weight", type=int, default=40, help="partition-weight sweep bound")
-    p_verify.add_argument("--order", type=int, default=40, help="series truncation order")
-    p_verify.add_argument("--max-mu", type=int, default=12, help="image-weight bound for round trips")
-    p_verify.add_argument("--max-m", type=int, default=6, help="largest class index swept")
+    for flag, field, help_text in _BOUND_FLAGS:
+        p_verify.add_argument(
+            flag, dest=field, metavar=flag[2:].upper().replace("-", "_"), type=int,
+            default=getattr(verify.SweepBounds, field), help=help_text,
+        )
     p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized ring-law checks")
     p_verify.set_defaults(func=_cmd_verify)
 

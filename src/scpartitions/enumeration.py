@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .bijection import classify
-from .partitions import Partition, _beta_core, sc_from_diagonal
+from .partitions import Partition, _beta_core, check_moduli, sc_from_diagonal
 
 __all__ = [
     "CountTable",
@@ -24,7 +24,7 @@ __all__ = [
     "distinct_odd_decompositions",
     "self_conjugate_of",
     "count_sc_m",
-    "count_t_core",
+    "tabulate",
     "enumerate_simultaneous_cores",
     "sufficient_core_bound",
     "count_sc_sim_core_m",
@@ -44,37 +44,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CountTable:
-    """Counts indexed by weight n over a contiguous range [0, N]."""
+    """Counts indexed by weight: rows[n] is the count at n, for n in [0, N]."""
 
     family: str
     params: dict
-    rows: dict
-
-    def __post_init__(self):
-        keys = sorted(self.rows)
-        if keys != list(range(len(keys))):
-            raise ValueError("rows must cover a contiguous range starting at 0")
+    rows: tuple[int, ...]
 
     @property
     def max_n(self) -> int:
         return len(self.rows) - 1
 
     def total(self) -> int:
-        return sum(self.rows.values())
+        return sum(self.rows)
 
     def counts(self) -> list[int]:
-        return [self.rows[n] for n in range(len(self.rows))]
+        return list(self.rows)
 
     def to_json_dict(self) -> dict:
         return {
             "family": self.family,
             "params": self.params,
-            "rows": [[n, self.rows[n]] for n in range(len(self.rows))],
+            "rows": [[n, c] for n, c in enumerate(self.rows)],
         }
 
     def to_csv_text(self) -> str:
         lines = ["n,count"]
-        lines.extend(f"{n},{self.rows[n]}" for n in range(len(self.rows)))
+        lines.extend(f"{n},{c}" for n, c in enumerate(self.rows))
         return "\n".join(lines) + "\n"
 
 
@@ -174,22 +169,27 @@ def count_sc_m(n: int, m: int) -> int:
     return sum(1 for sc in self_conjugate_of(n) if classify(sc) == m)
 
 
-def count_t_core(n: int, t: int) -> int:
-    """Number of t-core partitions of n, by filtered enumeration."""
-    _check_nonneg(n)
-    if t < 1:
-        raise ValueError(f"modulus must be a positive integer, got {t}")
-    return sum(1 for p in partitions_of(n) if p.is_t_core(t))
+def tabulate(
+    stream: Callable[[int], Iterable[Partition]],
+    core_sets: Iterable[Iterable[int]],
+    max_n: int,
+) -> list[tuple[int, ...]]:
+    """Per-weight core counts of a partition stream, one row per moduli set.
 
-
-def _validated_moduli(ts: Iterable[int]) -> tuple[int, ...]:
-    moduli = tuple(ts)
-    if not moduli:
-        raise ValueError("modulus list must be nonempty")
-    for t in moduli:
-        if t < 1:
-            raise ValueError(f"modulus must be a positive integer, got {t}")
-    return moduli
+    stream(n) yields the partitions of weight n to be counted. For each
+    moduli set in core_sets, the returned row holds at index n the number
+    of those partitions that are simultaneous cores for that set. Each
+    partition's first-column hook set is built once for all the sets.
+    """
+    counters = [([0] * (max_n + 1), check_moduli(ts)) for ts in core_sets]
+    _check_nonneg(max_n, "max_n")
+    for n in range(max_n + 1):
+        for p in stream(n):
+            beta = set(p.beta_set())
+            for row, moduli in counters:
+                if _beta_core(beta, moduli):
+                    row[n] += 1
+    return [tuple(row) for row, _ in counters]
 
 
 def enumerate_simultaneous_cores(ts: Iterable[int], max_n: int) -> Iterator[Partition]:
@@ -198,7 +198,7 @@ def enumerate_simultaneous_cores(ts: Iterable[int], max_n: int) -> Iterator[Part
     When the moduli contain a coprime pair and max_n is at least
     sufficient_core_bound(ts), the stream is the complete finite set.
     """
-    moduli = _validated_moduli(ts)
+    moduli = check_moduli(ts)
     _check_nonneg(max_n, "max_n")
     for n in range(max_n + 1):
         for p in partitions_of(n):
@@ -214,7 +214,7 @@ def sufficient_core_bound(ts: Iterable[int]) -> int:
     returned. Raises ValueError when no pair is coprime (the set of
     cores may then be infinite).
     """
-    moduli = sorted(set(_validated_moduli(ts)))
+    moduli = sorted(set(check_moduli(ts)))
     bounds = [
         (u * u - 1) * (v * v - 1) // 24
         for u, v in combinations(moduli, 2)
@@ -232,19 +232,16 @@ def count_sc_sim_core_m(ts: Iterable[int], m: int, max_n: int) -> CountTable:
 
     All moduli must be even; odd entries are rejected.
     """
-    moduli = _validated_moduli(ts)
+    moduli = check_moduli(ts)
     for t in moduli:
         if t % 2:
             raise ValueError(f"moduli must all be even, got {t}")
     _check_nonneg(m, "m")
-    _check_nonneg(max_n, "max_n")
-    rows = {}
-    for n in range(max_n + 1):
-        rows[n] = sum(
-            1
-            for sc in self_conjugate_of(n)
-            if classify(sc) == m and sc.is_simultaneous_core(moduli)
-        )
+
+    def of_class(n: int) -> Iterator[Partition]:
+        return (sc for sc in self_conjugate_of(n) if classify(sc) == m)
+
+    (rows,) = tabulate(of_class, [moduli], max_n)
     return CountTable("sc-sim", {"ts": list(moduli), "m": m}, rows)
 
 
@@ -303,32 +300,23 @@ def motzkin(n: int) -> int:
 def partition_count_table(max_n: int) -> CountTable:
     """Table of p(n) for n in [0, max_n]."""
     _check_nonneg(max_n, "max_n")
-    return CountTable("p", {}, {n: partition_count(n) for n in range(max_n + 1)})
+    return CountTable("p", {}, tuple(partition_count(n) for n in range(max_n + 1)))
 
 
 def sc_count_table(max_n: int) -> CountTable:
     """Table of self-conjugate partition counts for n in [0, max_n]."""
     _check_nonneg(max_n, "max_n")
-    rows = {
-        n: sum(1 for _ in distinct_odd_decompositions(n)) for n in range(max_n + 1)
-    }
+    rows = tuple(
+        sum(1 for _ in distinct_odd_decompositions(n)) for n in range(max_n + 1)
+    )
     return CountTable("sc", {}, rows)
 
 
 def core_count_tables(ts: Iterable[int], max_n: int) -> dict:
     """t-core count tables for several moduli from a single partition sweep."""
-    moduli = tuple(dict.fromkeys(_validated_moduli(ts)))
-    _check_nonneg(max_n, "max_n")
-    counts = {t: [0] * (max_n + 1) for t in moduli}
-    for n in range(max_n + 1):
-        for p in partitions_of(n):
-            beta = set(p.beta_set())
-            for t in moduli:
-                if _beta_core(beta, t):
-                    counts[t][n] += 1
-    return {
-        t: CountTable("core", {"t": t}, dict(enumerate(counts[t]))) for t in moduli
-    }
+    moduli = tuple(dict.fromkeys(check_moduli(ts)))
+    rows = tabulate(partitions_of, [(t,) for t in moduli], max_n)
+    return {t: CountTable("core", {"t": t}, row) for t, row in zip(moduli, rows)}
 
 
 def core_count_table(t: int, max_n: int) -> CountTable:
@@ -338,27 +326,19 @@ def core_count_table(t: int, max_n: int) -> CountTable:
 
 def sc_sim_core_count_table(ts: Iterable[int], max_n: int) -> CountTable:
     """Self-conjugate simultaneous-core counts (all classes together)."""
-    moduli = _validated_moduli(ts)
-    _check_nonneg(max_n, "max_n")
-    rows = {
-        n: sum(1 for sc in self_conjugate_of(n) if sc.is_simultaneous_core(moduli))
-        for n in range(max_n + 1)
-    }
+    moduli = check_moduli(ts)
+    (rows,) = tabulate(self_conjugate_of, [moduli], max_n)
     return CountTable("sc-sim-all", {"ts": list(moduli)}, rows)
 
 
 def sc_core_count_table(t: int, max_n: int) -> CountTable:
     """Self-conjugate t-core counts for n in [0, max_n]."""
-    table = sc_sim_core_count_table((t,), max_n)
-    return CountTable("sc-core", {"t": t}, table.rows)
+    (rows,) = tabulate(self_conjugate_of, [(t,)], max_n)
+    return CountTable("sc-core", {"t": t}, rows)
 
 
 def sim_core_count_table(ts: Iterable[int], max_n: int) -> CountTable:
     """Simultaneous-core counts for n in [0, max_n]."""
-    moduli = _validated_moduli(ts)
-    _check_nonneg(max_n, "max_n")
-    rows = {
-        n: sum(1 for p in partitions_of(n) if p.is_simultaneous_core(moduli))
-        for n in range(max_n + 1)
-    }
+    moduli = check_moduli(ts)
+    (rows,) = tabulate(partitions_of, [moduli], max_n)
     return CountTable("sim", {"ts": list(moduli)}, rows)

@@ -20,6 +20,7 @@ __all__ = [
     "sc_from_diagonal",
     "split_diagonal_classes",
     "beta_from_diagonal",
+    "check_moduli",
 ]
 
 
@@ -27,10 +28,21 @@ class PartitionError(ValueError):
     """A sequence that does not describe a valid partition."""
 
 
-def _beta_core(beta: set[int], t: int) -> bool:
+def check_moduli(ts: Iterable[int]) -> tuple[int, ...]:
+    """The moduli as a tuple; ValueError unless nonempty and all positive."""
+    moduli = tuple(ts)
+    if not moduli:
+        raise ValueError("modulus list must be nonempty")
+    for t in moduli:
+        if t < 1:
+            raise ValueError(f"modulus must be a positive integer, got {t}")
+    return moduli
+
+
+def _beta_core(beta: set[int], ts: tuple[int, ...]) -> bool:
     # A partition has no hook divisible by t exactly when its first-column
     # hook set is closed under subtracting t (abacus criterion).
-    return all(x < t or (x - t) in beta for x in beta)
+    return all(x < t or (x - t) in beta for t in ts for x in beta)
 
 
 class Partition:
@@ -179,22 +191,11 @@ class Partition:
 
     def is_t_core(self, t: int) -> bool:
         """True when no hook length is a multiple of t."""
-        if t < 1:
-            raise ValueError(f"modulus must be a positive integer, got {t}")
-        return _beta_core(set(self.beta_set()), t)
+        return self.is_simultaneous_core((t,))
 
     def is_simultaneous_core(self, ts: Iterable[int]) -> bool:
         """True when the partition is a t-core for every modulus in ts."""
-        moduli = tuple(ts)
-        if not moduli:
-            raise ValueError("modulus list must be nonempty")
-        beta = set(self.beta_set())
-        for t in moduli:
-            if t < 1:
-                raise ValueError(f"modulus must be a positive integer, got {t}")
-            if not _beta_core(beta, t):
-                return False
-        return True
+        return _beta_core(set(self.beta_set()), check_moduli(ts))
 
 
 class DiagonalClasses(NamedTuple):

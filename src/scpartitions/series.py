@@ -58,21 +58,8 @@ class TruncatedSeries:
         return self
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls([1], order)
-
-    @classmethod
-    def monomial(cls, order: int, exponent: int, coefficient: int = 1) -> "TruncatedSeries":
-        if exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}")
-        coeffs = [0] * (order + 1)
-        if exponent <= order:
-            coeffs[exponent] = coefficient
-        return cls(coeffs, order)
 
     @property
     def order(self) -> int:

@@ -69,38 +69,55 @@ def _triangular(m: int) -> int:
     return m * (m + 1) // 2
 
 
-def _check_lem22(b: SweepBounds):
-    params = {"max_weight": b.max_weight}
+def _first_counterexample(params: dict, *phases, per_case: int = 1):
+    """Run the phases in order and stop at the first counterexample.
+
+    A phase is a pair (cases, law): law(case) returns a counterexample
+    payload, or None when the case holds. Every case run counts per_case
+    cases, the failing one included. Returns (params, cases, payload).
+    """
     cases = 0
-    for n in range(b.max_weight + 1):
-        for deltas in enumeration.distinct_odd_decompositions(n):
-            cases += 1
-            direct = sc_from_diagonal(deltas).beta_set()
-            derived = beta_from_diagonal(deltas)
-            if direct != derived:
-                return params, cases, {
-                    "diagonal": ",".join(map(str, deltas)),
-                    "beta_direct": list(direct),
-                    "beta_derived": list(derived),
-                }
+    for items, law in phases:
+        for case in items:
+            cases += per_case
+            payload = law(case)
+            if payload is not None:
+                return params, cases, payload
     return params, cases, None
 
 
+def _check_lem22(b: SweepBounds):
+    def law(deltas):
+        direct = sc_from_diagonal(deltas).beta_set()
+        derived = beta_from_diagonal(deltas)
+        if direct != derived:
+            return {
+                "diagonal": ",".join(map(str, deltas)),
+                "beta_direct": list(direct),
+                "beta_derived": list(derived),
+            }
+
+    decompositions = (
+        deltas
+        for n in range(b.max_weight + 1)
+        for deltas in enumeration.distinct_odd_decompositions(n)
+    )
+    return _first_counterexample({"max_weight": b.max_weight}, (decompositions, law))
+
+
 def _check_prop23(b: SweepBounds):
-    params = {"max_weight": b.max_weight}
-    cases = 0
-    for sc in _iter_sc(b.max_weight):
-        cases += 1
+    def law(sc):
         m = bijection.classify(sc)
         dp = sc.disparity()
         if dp != _triangular(m):
-            return params, cases, {
+            return {
                 "partition": str(sc),
                 "class": m,
                 "disparity": dp,
                 "expected": _triangular(m),
             }
-    return params, cases, None
+
+    return _first_counterexample({"max_weight": b.max_weight}, (_iter_sc(b.max_weight), law))
 
 
 def _check_thm31(b: SweepBounds):
@@ -109,105 +126,90 @@ def _check_thm31(b: SweepBounds):
         "max_mu_weight": b.max_mu_weight,
         "max_class": b.max_class,
     }
-    cases = 0
-    for sc in _iter_sc(b.max_weight):
-        cases += 1
+
+    def sc_law(sc):
         m, mu = bijection.phi(sc)
         if sc.weight != 4 * mu.weight + _triangular(m):
-            return params, cases, {
-                "partition": str(sc),
-                "class": m,
-                "mu": str(mu),
-                "reason": "weight law",
-            }
-        if bijection.psi(m, mu) != sc:
-            return params, cases, {
-                "partition": str(sc),
-                "class": m,
-                "mu": str(mu),
-                "reason": "psi(phi) round trip",
-            }
-    for w in range(b.max_mu_weight + 1):
-        for mu in enumeration.partitions_of(w):
-            for m in range(b.max_class + 1):
-                cases += 1
-                image = bijection.phi(bijection.psi(m, mu))
-                if image.m != m or image.mu != mu:
-                    return params, cases, {
-                        "mu": str(mu),
-                        "class": m,
-                        "reason": "phi(psi) round trip",
-                    }
-    return params, cases, None
+            reason = "weight law"
+        elif bijection.psi(m, mu) != sc:
+            reason = "psi(phi) round trip"
+        else:
+            return None
+        return {"partition": str(sc), "class": m, "mu": str(mu), "reason": reason}
+
+    def mu_law(case):
+        mu, m = case
+        image = bijection.phi(bijection.psi(m, mu))
+        if image.m != m or image.mu != mu:
+            return {"mu": str(mu), "class": m, "reason": "phi(psi) round trip"}
+
+    images = (
+        (mu, m)
+        for w in range(b.max_mu_weight + 1)
+        for mu in enumeration.partitions_of(w)
+        for m in range(b.max_class + 1)
+    )
+    return _first_counterexample(params, (_iter_sc(b.max_weight), sc_law), (images, mu_law))
 
 
 def _check_prop34(b: SweepBounds):
     params = {"max_k": 8, "max_class": b.max_class, "max_weight": b.max_weight}
-    cases = 0
-    for m in range(b.max_class + 1):
-        for k in range(9):
-            cases += 1
-            n = 4 * k + _triangular(m)
-            got = enumeration.count_sc_m(n, m)
-            want = enumeration.partition_count(k)
-            if got != want:
-                return params, cases, {"n": n, "m": m, "count": got, "expected": want}
-    for m in range(b.max_class + 1):
-        for n in range(b.max_weight + 1):
-            if (n - _triangular(m)) % 4 == 0 and n >= _triangular(m):
-                continue
-            cases += 1
-            got = enumeration.count_sc_m(n, m)
-            if got != 0:
-                return params, cases, {"n": n, "m": m, "count": got, "expected": 0}
-    return params, cases, None
+    classes = range(b.max_class + 1)
+
+    def law(case):
+        n, m, expected = case
+        got = enumeration.count_sc_m(n, m)
+        if got != expected:
+            return {"n": n, "m": m, "count": got, "expected": expected}
+
+    on_congruence = (
+        (4 * k + _triangular(m), m, enumeration.partition_count(k))
+        for m in classes
+        for k in range(9)
+    )
+    off_congruence = (
+        (n, m, 0)
+        for m in classes
+        for n in range(b.max_weight + 1)
+        if n < _triangular(m) or (n - _triangular(m)) % 4
+    )
+    return _first_counterexample(params, (on_congruence, law), (off_congruence, law))
 
 
 def _check_lem41(b: SweepBounds):
     cap = min(b.max_weight, 25)
-    params = {"max_mu_weight": cap}
-    cases = 0
-    for w in range(1, cap + 1):
-        for mu in enumeration.partitions_of(w):
-            cases += 1
-            corner = mu.hook_length(1, 1)
-            expected = frozenset(range(1, corner + 1)) - set(mu.conjugate().beta_set())
-            got = bijection.complement_beta(mu)
-            if got != expected:
-                return params, cases, {
-                    "mu": str(mu),
-                    "complement": sorted(got),
-                    "expected": sorted(expected),
-                }
-    return params, cases, None
+
+    def law(mu):
+        corner = mu.hook_length(1, 1)
+        expected = frozenset(range(1, corner + 1)) - set(mu.conjugate().beta_set())
+        got = bijection.complement_beta(mu)
+        if got != expected:
+            return {"mu": str(mu), "complement": sorted(got), "expected": sorted(expected)}
+
+    images = (mu for w in range(1, cap + 1) for mu in enumeration.partitions_of(w))
+    return _first_counterexample({"max_mu_weight": cap}, (images, law))
 
 
 def _check_prop42(b: SweepBounds):
-    params = {"max_weight": b.max_weight}
-    cases = 0
-    for sc in _iter_sc(b.max_weight):
-        if not sc:
-            continue
-        cases += 1
+    def law(sc):
         mu = bijection.phi(sc).mu
         top = sc.diagonal_hooks()[0]
         expected = mu.conjugate().beta_set() if top % 4 == 1 else mu.beta_set()
         got = bijection.half_even_beta(sc)
         if got != expected:
-            return params, cases, {
+            return {
                 "partition": str(sc),
                 "half_even_beta": list(got),
                 "expected": list(expected),
                 "principal_hook_residue": top % 4,
             }
-    return params, cases, None
+
+    nonempty = (sc for sc in _iter_sc(b.max_weight) if sc)
+    return _first_counterexample({"max_weight": b.max_weight}, (nonempty, law))
 
 
 def _check_thm44(b: SweepBounds):
-    params = {"max_weight": b.max_weight}
-    cases = 0
-    for sc in _iter_sc(b.max_weight):
-        cases += 1
+    def law(sc):
         mu = bijection.phi(sc).mu
         sc_hooks = sc.hook_multiset()
         mu_hooks = mu.hook_multiset()
@@ -216,7 +218,7 @@ def _check_thm44(b: SweepBounds):
         if evens != doubled:
             diff = sorted(set(evens) | set(doubled))
             k = next(x for x in diff if evens.get(x, 0) != doubled.get(x, 0))
-            return params, cases, {
+            return {
                 "partition": str(sc),
                 "mu": str(mu),
                 "k": k,
@@ -225,33 +227,31 @@ def _check_thm44(b: SweepBounds):
             }
         odd_count = sum(c for h, c in sc_hooks.items() if h % 2)
         if odd_count != sc.weight - 2 * mu.weight:
-            return params, cases, {
+            return {
                 "partition": str(sc),
                 "odd_hooks": odd_count,
                 "expected": sc.weight - 2 * mu.weight,
             }
-    return params, cases, None
+
+    return _first_counterexample({"max_weight": b.max_weight}, (_iter_sc(b.max_weight), law))
 
 
 def _check_prop44(b: SweepBounds):
-    params = {"max_weight": b.max_weight}
-    cases = 0
-    for sc in _iter_sc(b.max_weight):
-        if not sc:
-            continue
-        cases += 1
+    def law(sc):
         mu = bijection.phi(sc).mu
         top = sc.diagonal_hooks()[0]
         shortcut = bijection.corresponding_partition_after_deletion(mu, top % 4)
         direct = bijection.phi(bijection.delete_principal_hook(sc)).mu
         if shortcut != direct:
-            return params, cases, {
+            return {
                 "partition": str(sc),
                 "mu": str(mu),
                 "after_deletion": str(shortcut),
                 "expected": str(direct),
             }
-    return params, cases, None
+
+    nonempty = (sc for sc in _iter_sc(b.max_weight) if sc)
+    return _first_counterexample({"max_weight": b.max_weight}, (nonempty, law))
 
 
 _CORE_EQUIV_MODULI = ((2,), (3,), (2, 3), (3, 4))
@@ -259,22 +259,23 @@ _CORE_EQUIV_MODULI = ((2,), (3,), (2, 3), (3, 4))
 
 def _check_cor45(b: SweepBounds):
     params = {"max_weight": b.max_weight, "moduli": [list(ts) for ts in _CORE_EQUIV_MODULI]}
-    cases = 0
-    for sc in _iter_sc(b.max_weight):
-        mu = bijection.phi(sc).mu
-        for ts in _CORE_EQUIV_MODULI:
-            cases += 1
-            lhs = sc.is_simultaneous_core([2 * t for t in ts])
-            rhs = mu.is_simultaneous_core(ts)
-            if lhs != rhs:
-                return params, cases, {
-                    "partition": str(sc),
-                    "mu": str(mu),
-                    "moduli": list(ts),
-                    "sc_is_doubled_core": lhs,
-                    "mu_is_core": rhs,
-                }
-    return params, cases, None
+
+    def law(case):
+        sc, mu, ts = case
+        lhs = sc.is_simultaneous_core([2 * t for t in ts])
+        rhs = mu.is_simultaneous_core(ts)
+        if lhs != rhs:
+            return {
+                "partition": str(sc),
+                "mu": str(mu),
+                "moduli": list(ts),
+                "sc_is_doubled_core": lhs,
+                "mu_is_core": rhs,
+            }
+
+    pairs = ((sc, bijection.phi(sc).mu) for sc in _iter_sc(b.max_weight))
+    cases = ((sc, mu, ts) for sc, mu in pairs for ts in _CORE_EQUIV_MODULI)
+    return _first_counterexample(params, (cases, law))
 
 
 _SIM_PAIRS = ((4, 6), (6, 8))
@@ -283,193 +284,166 @@ _SIM_PAIRS = ((4, 6), (6, 8))
 def _check_prop46(b: SweepBounds):
     max_class = min(b.max_class, 3)
     params = {"pairs": [list(p) for p in _SIM_PAIRS], "max_class": max_class, "max_weight": b.max_weight}
-    cases = 0
-    for moduli in _SIM_PAIRS:
-        halves = tuple(t // 2 for t in moduli)
-        for m in range(max_class + 1):
-            table = enumeration.count_sc_sim_core_m(moduli, m, b.max_weight)
-            for n in range(b.max_weight + 1):
-                cases += 1
-                shift = n - _triangular(m)
-                if shift >= 0 and shift % 4 == 0:
-                    k = shift // 4
-                    expected = sum(
-                        1
-                        for p in enumeration.partitions_of(k)
-                        if p.is_simultaneous_core(halves)
-                    )
-                else:
-                    expected = 0
-                if table.rows[n] != expected:
-                    return params, cases, {
-                        "ts": list(moduli),
-                        "m": m,
-                        "n": n,
-                        "count": table.rows[n],
-                        "expected": expected,
-                    }
-    return params, cases, None
 
+    def law(case):
+        moduli, m, n, count, ordinary = case
+        shift = n - _triangular(m)
+        expected = ordinary[shift // 4] if shift >= 0 and shift % 4 == 0 else 0
+        if count != expected:
+            return {"ts": list(moduli), "m": m, "n": n, "count": count, "expected": expected}
 
-def _sc_sim_core_total(moduli: tuple[int, ...], m: int) -> int:
-    halves = tuple(t // 2 for t in moduli)
-    bound = 4 * enumeration.sufficient_core_bound(halves) + _triangular(m)
-    total = 0
-    for sc in _iter_sc(bound):
-        if bijection.classify(sc) == m and sc.is_simultaneous_core(moduli):
-            total += 1
-    return total
+    def counts():
+        for moduli in _SIM_PAIRS:
+            halves = [t // 2 for t in moduli]
+            ordinary = enumeration.sim_core_count_table(halves, b.max_weight // 4).rows
+            for m in range(max_class + 1):
+                table = enumeration.count_sc_sim_core_m(moduli, m, b.max_weight)
+                for n, count in enumerate(table.rows):
+                    yield moduli, m, n, count, ordinary
+
+    return _first_counterexample(params, (counts(), law))
 
 
 def _check_cor48(b: SweepBounds):
     max_class = min(b.max_class, 3)
-    params = {"n_range": [1, 4], "max_class": max_class}
-    cases = 0
-    for n in range(1, 5):
-        for m in range(max_class + 1):
-            cases += 1
-            got = _sc_sim_core_total((2 * n, 2 * n + 2), m)
-            want = enumeration.catalan(n)
-            if got != want:
-                return params, cases, {
-                    "ts": [2 * n, 2 * n + 2],
-                    "m": m,
-                    "total": got,
-                    "expected": want,
-                }
-            cases += 1
-            got = _sc_sim_core_total((2 * n, 2 * n + 2, 2 * n + 4), m)
-            want = enumeration.motzkin(n)
-            if got != want:
-                return params, cases, {
-                    "ts": [2 * n, 2 * n + 2, 2 * n + 4],
-                    "m": m,
-                    "total": got,
-                    "expected": want,
-                }
-    return params, cases, None
 
+    def law(case):
+        ts, m, expected = case
+        bound = 4 * enumeration.sufficient_core_bound([t // 2 for t in ts]) + _triangular(m)
+        total = enumeration.count_sc_sim_core_m(ts, m, bound).total()
+        if total != expected:
+            return {"ts": list(ts), "m": m, "total": total, "expected": expected}
 
-def _series_mismatch(tag: dict, enumerated: series.TruncatedSeries, product: series.TruncatedSeries):
-    outcome = series.check_identity(enumerated, product)
-    if outcome.equal:
-        return None
-    payload = dict(tag)
-    payload.update(
-        {
-            "exponent": outcome.first_mismatch,
-            "enumerated": outcome.lhs_coefficient,
-            "product": outcome.rhs_coefficient,
-        }
+    cases = (
+        (ts, m, closed_form(n))
+        for n in range(1, 5)
+        for m in range(max_class + 1)
+        for ts, closed_form in (
+            ((2 * n, 2 * n + 2), enumeration.catalan),
+            ((2 * n, 2 * n + 2, 2 * n + 4), enumeration.motzkin),
+        )
     )
-    return payload
+    return _first_counterexample({"n_range": [1, 4], "max_class": max_class}, (cases, law))
+
+
+def _series_rows(params: dict, order: int, rows, lhs_key: str = "enumerated"):
+    """Compare each (tag, lhs, rhs) row coefficient-wise; order + 1 cases per row.
+
+    A mismatch reports the row's tag, the first exponent that differs and
+    both coefficients there, the left one under lhs_key.
+    """
+
+    def law(row):
+        tag, lhs, rhs = row
+        outcome = series.check_identity(lhs, rhs)
+        if not outcome.equal:
+            return {
+                **tag,
+                "exponent": outcome.first_mismatch,
+                lhs_key: outcome.lhs_coefficient,
+                "product": outcome.rhs_coefficient,
+            }
+
+    return _first_counterexample(params, (rows, law), per_case=order + 1)
+
+
+def _counted(tag: dict, table, rhs, order: int):
+    """Row: the series of a count table vs the series rhs."""
+    return tag, series.series_from_counts(table, 1, order), rhs
+
+
+def _factorization(tag: dict, sc_table, table, order: int):
+    """Row: self-conjugate counts vs quadrupled counts times the triangular series."""
+    quadrupled = series.series_from_counts(table, 4, order)
+    return _counted(tag, sc_table, quadrupled * series.triangular_series(order), order)
 
 
 _CORE_GF_MODULI = (2, 3, 5)
 
 
 def _check_eq11(b: SweepBounds):
-    params = {"moduli": list(_CORE_GF_MODULI), "order": b.order}
     tables = enumeration.core_count_tables(_CORE_GF_MODULI, b.order)
-    cases = 0
-    for t in _CORE_GF_MODULI:
-        cases += b.order + 1
-        bad = _series_mismatch(
-            {"t": t},
-            series.series_from_counts(tables[t], 1, b.order),
-            series.core_product_series(t, b.order),
-        )
-        if bad:
-            return params, cases, bad
-    return params, cases, None
+    rows = (
+        _counted({"t": t}, tables[t], series.core_product_series(t, b.order), b.order)
+        for t in _CORE_GF_MODULI
+    )
+    return _series_rows({"moduli": list(_CORE_GF_MODULI), "order": b.order}, b.order, rows)
 
 
 _SC_GF_MODULI = (1, 2, 3)
 
 
 def _check_eq12(b: SweepBounds):
-    params = {"moduli": list(_SC_GF_MODULI), "order": b.order}
-    cases = 0
-    for t in _SC_GF_MODULI:
-        cases += b.order + 1
-        table = enumeration.sc_core_count_table(2 * t, b.order)
-        bad = _series_mismatch(
+    rows = (
+        _counted(
             {"t": t},
-            series.series_from_counts(table, 1, b.order),
+            enumeration.sc_core_count_table(2 * t, b.order),
             series.sc_even_core_product_series(t, b.order),
+            b.order,
         )
-        if bad:
-            return params, cases, bad
-    return params, cases, None
+        for t in _SC_GF_MODULI
+    )
+    return _series_rows({"moduli": list(_SC_GF_MODULI), "order": b.order}, b.order, rows)
 
 
 def _check_gauss(b: SweepBounds):
-    params = {"order": b.order}
-    outcome = series.check_identity(
-        series.triangular_series(b.order), series.gauss_product_series(b.order)
-    )
-    if outcome.equal:
-        return params, b.order + 1, None
-    return params, b.order + 1, {
-        "exponent": outcome.first_mismatch,
-        "triangular": outcome.lhs_coefficient,
-        "product": outcome.rhs_coefficient,
-    }
+    row = ({}, series.triangular_series(b.order), series.gauss_product_series(b.order))
+    return _series_rows({"order": b.order}, b.order, [row], lhs_key="triangular")
 
 
 def _check_cor12(b: SweepBounds):
-    params = {"order": b.order}
-    lhs = series.series_from_counts(enumeration.sc_count_table(b.order), 1, b.order)
-    rhs = series.series_from_counts(
-        enumeration.partition_count_table(b.order // 4), 4, b.order
-    ) * series.triangular_series(b.order)
-    return params, b.order + 1, _series_mismatch({}, lhs, rhs)
+    row = _factorization(
+        {},
+        enumeration.sc_count_table(b.order),
+        enumeration.partition_count_table(b.order // 4),
+        b.order,
+    )
+    return _series_rows({"order": b.order}, b.order, [row])
 
 
 _FACTOR_MODULI = (2, 3)
 
 
 def _check_cor15(b: SweepBounds):
-    params = {"moduli": list(_FACTOR_MODULI), "order": b.order}
-    cases = 0
-    for t in _FACTOR_MODULI:
-        cases += b.order + 1
-        lhs = series.series_from_counts(
-            enumeration.sc_core_count_table(2 * t, b.order), 1, b.order
+    rows = (
+        _factorization(
+            {"t": t},
+            enumeration.sc_core_count_table(2 * t, b.order),
+            enumeration.core_count_table(t, b.order // 4),
+            b.order,
         )
-        rhs = series.series_from_counts(
-            enumeration.core_count_table(t, b.order // 4), 4, b.order
-        ) * series.triangular_series(b.order)
-        bad = _series_mismatch({"t": t}, lhs, rhs)
-        if bad:
-            return params, cases, bad
-    return params, cases, None
+        for t in _FACTOR_MODULI
+    )
+    return _series_rows({"moduli": list(_FACTOR_MODULI), "order": b.order}, b.order, rows)
 
 
 _FACTOR_PAIRS = ((2, 3), (3, 4))
 
 
 def _check_thm14(b: SweepBounds):
-    params = {"pairs": [list(p) for p in _FACTOR_PAIRS], "order": b.order}
-    cases = 0
-    for t1, t2 in _FACTOR_PAIRS:
-        cases += b.order + 1
-        lhs = series.series_from_counts(
-            enumeration.sc_sim_core_count_table((2 * t1, 2 * t2), b.order), 1, b.order
+    rows = (
+        _factorization(
+            {"ts": [t1, t2]},
+            enumeration.sc_sim_core_count_table((2 * t1, 2 * t2), b.order),
+            enumeration.sim_core_count_table((t1, t2), b.order // 4),
+            b.order,
         )
-        rhs = series.series_from_counts(
-            enumeration.sim_core_count_table((t1, t2), b.order // 4), 4, b.order
-        ) * series.triangular_series(b.order)
-        bad = _series_mismatch({"ts": [t1, t2]}, lhs, rhs)
-        if bad:
-            return params, cases, bad
-    return params, cases, None
+        for t1, t2 in _FACTOR_PAIRS
+    )
+    params = {"pairs": [list(p) for p in _FACTOR_PAIRS], "order": b.order}
+    return _series_rows(params, b.order, rows)
+
+
+_RING_LAWS = (
+    ("commutativity", lambda x, y, z: x * y == y * x),
+    ("associativity", lambda x, y, z: (x * y) * z == x * (y * z)),
+    ("distributivity", lambda x, y, z: x * (y + z) == x * y + x * z),
+)
 
 
 def _check_ringlaws(b: SweepBounds):
     order = min(b.order, 24)
     trials = 25
-    params = {"order": order, "trials": trials, "seed": b.seed}
     rng = random.Random(b.seed)
 
     def rand_series():
@@ -477,24 +451,15 @@ def _check_ringlaws(b: SweepBounds):
             [rng.randint(-9, 9) for _ in range(order + 1)], order
         )
 
-    cases = 0
-    for _ in range(trials):
-        x, y, z = rand_series(), rand_series(), rand_series()
-        checks = (
-            ("commutativity", x * y == y * x),
-            ("associativity", (x * y) * z == x * (y * z)),
-            ("distributivity", x * (y + z) == x * y + x * z),
-        )
-        for law, holds in checks:
-            cases += 1
-            if not holds:
-                return params, cases, {
-                    "law": law,
-                    "x": list(x.coeffs),
-                    "y": list(y.coeffs),
-                    "z": list(z.coeffs),
-                }
-    return params, cases, None
+    def law(case):
+        name, holds, xyz = case
+        if not holds(*xyz):
+            return {"law": name, **{v: list(s.coeffs) for v, s in zip("xyz", xyz)}}
+
+    triples = ((rand_series(), rand_series(), rand_series()) for _ in range(trials))
+    cases = ((name, holds, xyz) for xyz in triples for name, holds in _RING_LAWS)
+    params = {"order": order, "trials": trials, "seed": b.seed}
+    return _first_counterexample(params, (cases, law))
 
 
 CHECKS = {

@@ -177,7 +177,9 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
-        assert f"{bound} must be >= 0" in err
+        # The message names the flag as typed, not the SweepBounds field it sets.
+        assert err == f"error: {argv[1]} must be >= 0, got {argv[2]}\n"
+        assert not err.startswith(f"error: {bound}")
 
     def test_zero_cases_exits_one(self, capsys):
         code, out, err = run(capsys, "verify", "prop4.2", "--max-weight", "0")

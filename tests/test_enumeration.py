@@ -3,7 +3,6 @@ import json
 import pytest
 
 from scpartitions import (
-    CountTable,
     Partition,
     anderson_count,
     catalan,
@@ -11,7 +10,6 @@ from scpartitions import (
     core_count_tables,
     count_sc_m,
     count_sc_sim_core_m,
-    count_t_core,
     distinct_odd_decompositions,
     enumerate_simultaneous_cores,
     motzkin,
@@ -20,8 +18,11 @@ from scpartitions import (
     partitions_of,
     sc_core_count_table,
     sc_count_table,
+    sc_sim_core_count_table,
     self_conjugate_of,
+    sim_core_count_table,
     sufficient_core_bound,
+    tabulate,
     wang_count,
 )
 
@@ -127,13 +128,13 @@ class TestClassCounts:
 
 class TestCoreCounts:
     def test_examples(self):
-        assert count_t_core(2, 3) == 2
-        assert count_t_core(0, 7) == 1
-        assert count_t_core(2, 2) == 0
+        assert core_count_table(3, 2).rows[2] == 2
+        assert core_count_table(7, 0).rows[0] == 1
+        assert core_count_table(2, 2).rows[2] == 0
 
     def test_table_matches_pointwise(self):
         table = core_count_table(3, 12)
-        assert table.counts() == [count_t_core(n, 3) for n in range(13)]
+        assert table.counts() == [sum(1 for p in partitions_of(n) if p.is_t_core(3)) for n in range(13)]
 
     def test_multi_sweep_matches_single(self):
         tables = core_count_tables((2, 3, 5), 10)
@@ -145,6 +146,38 @@ class TestCoreCounts:
         table = core_count_table(2, 21)
         triangulars = {k * (k + 1) // 2 for k in range(7)}
         assert table.counts() == [1 if n in triangulars else 0 for n in range(22)]
+
+
+class TestTabulate:
+    def test_one_sweep_counts_every_moduli_set(self):
+        rows = tabulate(partitions_of, [(2,), (3,), (2, 3), (3, 4)], 12)
+        assert rows[0] == core_count_table(2, 12).rows
+        assert rows[1] == core_count_table(3, 12).rows
+        assert rows[2] == sim_core_count_table((2, 3), 12).rows
+        assert rows[3] == sim_core_count_table((3, 4), 12).rows
+
+    def test_rows_match_brute_force_over_any_stream(self):
+        rows = tabulate(self_conjugate_of, [(4,), (4, 6)], 16)
+        for n in range(17):
+            scs = list(self_conjugate_of(n))
+            assert rows[0][n] == sum(1 for sc in scs if sc.is_t_core(4))
+            assert rows[1][n] == sum(1 for sc in scs if sc.is_simultaneous_core((4, 6)))
+        assert rows[1] == sc_sim_core_count_table((4, 6), 16).rows
+
+    def test_rows_are_tuples_indexed_by_weight(self):
+        assert tabulate(partitions_of, [(5,)], 4) == [(1, 1, 2, 3, 5)]
+        table = core_count_table(5, 4)
+        assert table.rows == (1, 1, 2, 3, 5)
+        assert table.max_n == 4
+
+    @pytest.mark.parametrize("core_sets", [[()], [(3,), (2, 0)], [(-1,)]])
+    def test_bad_moduli_rejected(self, core_sets):
+        with pytest.raises(ValueError, match="modul"):
+            tabulate(partitions_of, core_sets, 3)
+
+    def test_negative_max_n_rejected(self):
+        with pytest.raises(ValueError, match="max_n"):
+            tabulate(partitions_of, [(2,)], -1)
 
 
 class TestSimultaneousCores:
@@ -225,7 +258,7 @@ class TestScSimCoreClassCounts:
 
     def test_zero_off_congruence(self):
         table = count_sc_sim_core_m((4, 6), 1, 20)
-        for n, c in table.rows.items():
+        for n, c in enumerate(table.rows):
             if n % 4 != 1:
                 assert c == 0
 
@@ -246,10 +279,6 @@ class TestScSimCoreClassCounts:
 
 
 class TestCountTable:
-    def test_rows_must_be_contiguous(self):
-        with pytest.raises(ValueError):
-            CountTable("p", {}, {0: 1, 2: 1})
-
     def test_csv_golden(self):
         table = partition_count_table(3)
         assert table.to_csv_text() == "n,count\n0,1\n1,1\n2,2\n3,3\n"

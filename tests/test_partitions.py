@@ -4,6 +4,7 @@ from scpartitions import (
     Partition,
     PartitionError,
     beta_from_diagonal,
+    check_moduli,
     parse_partition,
     partitions_of,
     sc_from_diagonal,
@@ -257,6 +258,20 @@ class TestCores:
             Partition([1]).is_t_core(0)
         with pytest.raises(ValueError):
             Partition([1]).is_simultaneous_core([])
+
+    def test_every_modulus_checked_before_testing_any(self):
+        # [2] is not a 2-core, so a lazy check would stop before seeing the 0.
+        with pytest.raises(ValueError, match="got 0"):
+            Partition([2]).is_simultaneous_core([2, 0])
+        with pytest.raises(ValueError, match="got -3"):
+            Partition([2]).is_simultaneous_core(iter([2, -3]))
+
+    def test_check_moduli(self):
+        assert check_moduli(iter([3, 4, 3])) == (3, 4, 3)
+        with pytest.raises(ValueError, match="nonempty"):
+            check_moduli([])
+        with pytest.raises(ValueError, match="positive integer, got 0"):
+            check_moduli([5, 0])
 
     def test_simultaneous_examples(self):
         assert Partition([1]).is_simultaneous_core([2, 3])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scpartitions import verify
+from scpartitions import Partition, verify
 from scpartitions.series import TruncatedSeries, check_identity
 
 
@@ -94,3 +94,47 @@ def test_failure_payload_revalidates():
     assert good.coefficient(k) == payload["enumerated"]
     assert bad.coefficient(k) == payload["product"]
     assert payload["enumerated"] != payload["product"]
+
+
+def _bump(fn, exponent):
+    def bumped(*args):
+        coeffs = list(fn(*args).coeffs)
+        coeffs[exponent] += 1
+        return TruncatedSeries(coeffs, len(coeffs) - 1)
+
+    return bumped
+
+
+@pytest.mark.parametrize(
+    "theorem, target, defect, bounds, cases, counterexample",
+    [
+        # a series row counts order + 1 cases and fails on the first modulus
+        (
+            "eq1.1", (verify.series, "core_product_series"),
+            lambda fn: _bump(fn, 17), dict(order=20),
+            21, {"t": 2, "exponent": 17, "enumerated": 0, "product": 1},
+        ),
+        # the second phase counts on from the first: 63 + 9 + 2 cases
+        (
+            "prop3.4", (verify.enumeration, "count_sc_m"),
+            lambda fn: lambda n, m: fn(n, m) + (n == 2 and m == 1), dict(max_weight=12),
+            74, {"n": 2, "m": 1, "count": 1, "expected": 0},
+        ),
+        # 1 self-conjugate case, then 4 images of weight <= 2 and (3) in 7 classes
+        (
+            "thm3.1", (verify.bijection, "psi"),
+            lambda fn: lambda m, mu: fn(m, Partition([3]) if mu.weight == 3 else mu),
+            dict(max_weight=0),
+            37, {"mu": "2,1", "class": 0, "reason": "phi(psi) round trip"},
+        ),
+    ],
+)
+def test_first_counterexample_stops_and_counts(
+    monkeypatch, theorem, target, defect, bounds, cases, counterexample
+):
+    owner, name = target
+    monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
+    report = verify.run_check(theorem, **bounds)
+    assert not report.passed
+    assert report.cases == cases
+    assert report.counterexample == counterexample
