@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .partitions import Partition, sc_from_diagonal, split_diagonal_classes
+from .partitions import Partition, sc_from_diagonal
 
 __all__ = [
     "DiagonalSequencePair",
@@ -42,27 +42,23 @@ class PhiImage(NamedTuple):
     mu: Partition
 
 
-def _require_self_conjugate(p: Partition) -> None:
-    if not p.is_self_conjugate():
-        raise ValueError(f"partition ({p}) is not self-conjugate")
+def _class_index(surplus: int) -> int:
+    return 2 * surplus - 1 if surplus >= 1 else -2 * surplus
 
 
 def classify(sc: Partition) -> int:
     """Class index m of a self-conjugate partition (empty partition: 0)."""
-    _require_self_conjugate(sc)
-    d1, d3 = split_diagonal_classes(sc.diagonal_hooks())
-    diff = len(d1) - len(d3)
-    return 2 * diff - 1 if diff >= 1 else -2 * diff
+    a, b = diagonal_sequence_pair(sc)
+    return _class_index(len(a) - len(b))
 
 
 def diagonal_sequence_pair(sc: Partition) -> DiagonalSequencePair:
     """Strictly decreasing sequences a (a_i >= 0) and b (b_j >= 1) with
     diagonal hooks {4a_i + 1} and {4b_j - 1}."""
-    _require_self_conjugate(sc)
-    d1, d3 = split_diagonal_classes(sc.diagonal_hooks())
+    hooks = sc.diagonal_hooks()
     return DiagonalSequencePair(
-        a=tuple((x - 1) // 4 for x in d1),
-        b=tuple((x + 1) // 4 for x in d3),
+        a=tuple((x - 1) // 4 for x in hooks if x % 4 == 1),
+        b=tuple((x + 1) // 4 for x in hooks if x % 4 == 3),
     )
 
 
@@ -74,9 +70,9 @@ def phi(sc: Partition) -> PhiImage:
     (b_1 - s, b_2 - s + 1, ..., b_s - 1), whose zero entries contribute
     nothing. The weights satisfy |sc| = 4|mu| + m(m+1)/2.
     """
-    m = classify(sc)
     a, b = diagonal_sequence_pair(sc)
     r, s = len(a), len(b)
+    m = _class_index(r - s)
     head = [a[i] + (i + 1) + s - r for i in range(r)]
     gamma = Partition(b[j] - s + j for j in range(s))
     tail = gamma.conjugate().parts
@@ -130,7 +126,8 @@ def psi(m: int, mu: Partition) -> Partition:
 
 def half_even_beta(sc: Partition) -> tuple[int, ...]:
     """Halved even first-column hooks of a nonempty self-conjugate partition."""
-    _require_self_conjugate(sc)
+    if not sc.is_self_conjugate():
+        raise ValueError(f"partition ({sc}) is not self-conjugate")
     if not sc:
         raise ValueError("empty partition has no first-column hooks")
     return tuple(x // 2 for x in sc.beta_set() if x % 2 == 0)
@@ -150,7 +147,6 @@ def complement_beta(mu: Partition) -> frozenset:
 
 def delete_principal_hook(sc: Partition) -> Partition:
     """Remove the largest diagonal hook; the weight drops by its length."""
-    _require_self_conjugate(sc)
     if not sc:
         raise ValueError("empty partition has no principal hook")
     return sc_from_diagonal(sc.diagonal_hooks()[1:])

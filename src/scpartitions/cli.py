@@ -48,6 +48,12 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects a comma-separated integer list, got {text!r}")
 
 
+def _nonneg(value: int, flag: str) -> int:
+    if value < 0:
+        raise UsageError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _diagram_lines(p: Partition) -> str:
     return "\n".join("#" * x for x in p.parts) if p else "(empty)"
 
@@ -90,10 +96,9 @@ def _cmd_map(args) -> int:
 def _cmd_inverse(args) -> int:
     if args.format != "json":
         raise UsageError("inverse supports only --format json")
-    if args.m < 0:
-        raise UsageError(f"--m must be >= 0, got {args.m}")
+    m = _nonneg(args.m, "--m")
     mu = parse_partition(args.mu)
-    lam = bijection.psi(args.m, mu)
+    lam = bijection.psi(m, mu)
     payload = {
         "lambda": str(lam),
         "diagonal": ",".join(str(d) for d in lam.diagonal_hooks()),
@@ -102,6 +107,21 @@ def _cmd_inverse(args) -> int:
         sys.stderr.write(f"lambda:\n{_diagram_lines(lam)}\n")
     _emit_json(payload, args.out)
     return 0
+
+
+# Most partitions `count --family core|sim` may stream: the sum of p(n) over n <= --max.
+COUNT_BUDGET = 6_000_000
+
+
+def _check_count_budget(max_n: int) -> None:
+    total = 0
+    for n in range(max_n + 1):
+        total += enumeration.partition_count(n)
+        if total > COUNT_BUDGET:
+            raise UsageError(
+                f"--max {max_n} would enumerate more than {COUNT_BUDGET} partitions;"
+                f" the largest --max admitted is {n - 1}"
+            )
 
 
 def _count_table(args) -> enumeration.CountTable:
@@ -113,6 +133,7 @@ def _count_table(args) -> enumeration.CountTable:
     if family == "core":
         if args.t is None:
             raise UsageError("--t is required for --family core")
+        _check_count_budget(args.max)
         return enumeration.core_count_table(args.t, args.max)
     if family == "sc-core":
         if args.t is None:
@@ -121,19 +142,19 @@ def _count_table(args) -> enumeration.CountTable:
     if family == "sim":
         if args.ts is None:
             raise UsageError("--ts is required for --family sim")
+        _check_count_budget(args.max)
         return enumeration.sim_core_count_table(_parse_int_list(args.ts, "--ts"), args.max)
     if family == "sc-sim":
         if args.ts is None or args.m is None:
             raise UsageError("--ts and --m are required for --family sc-sim")
         return enumeration.count_sc_sim_core_m(
-            _parse_int_list(args.ts, "--ts"), args.m, args.max
+            _parse_int_list(args.ts, "--ts"), _nonneg(args.m, "--m"), args.max
         )
     raise UsageError(f"unknown family {family!r}")
 
 
 def _cmd_count(args) -> int:
-    if args.max < 0:
-        raise UsageError(f"--max must be >= 0, got {args.max}")
+    _nonneg(args.max, "--max")
     table = _count_table(args)
     if args.format == "csv":
         _emit(table.to_csv_text(), args.out)
@@ -145,8 +166,7 @@ def _cmd_count(args) -> int:
 def _cmd_series(args) -> int:
     if args.format != "json":
         raise UsageError("series supports only --format json")
-    if args.order < 0:
-        raise UsageError(f"--order must be >= 0, got {args.order}")
+    _nonneg(args.order, "--order")
     kind = args.kind
     if kind == "triangular":
         out = series_mod.triangular_series(args.order)
@@ -181,15 +201,10 @@ def _cmd_verify(args) -> int:
     ids = verify.all_ids() if args.all else [args.theorem]
     if not args.all and args.theorem is None:
         raise UsageError("a theorem id or --all is required")
-    bounds = {"seed": args.seed}
-    for flag, field, _ in _BOUND_FLAGS:
-        value = getattr(args, field)
-        if value < 0:
-            raise UsageError(f"{flag} must be >= 0, got {value}")
-        bounds[field] = value
+    bounds = {field: _nonneg(getattr(args, field), flag) for flag, field, _ in _BOUND_FLAGS}
     reports = []
     for theorem in ids:
-        report = verify.run_check(theorem, **bounds)
+        report = verify.run_check(theorem, seed=args.seed, **bounds)
         reports.append(report)
         sys.stderr.write(report.summary_line() + "\n")
     payload = [r.to_json_dict() for r in reports]

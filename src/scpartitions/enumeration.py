@@ -25,7 +25,6 @@ __all__ = [
     "self_conjugate_of",
     "count_sc_m",
     "tabulate",
-    "enumerate_simultaneous_cores",
     "sufficient_core_bound",
     "count_sc_sim_core_m",
     "anderson_count",
@@ -56,9 +55,6 @@ class CountTable:
 
     def total(self) -> int:
         return sum(self.rows)
-
-    def counts(self) -> list[int]:
-        return list(self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,20 +186,6 @@ def tabulate(
                 if _beta_core(beta, moduli):
                     row[n] += 1
     return [tuple(row) for row, _ in counters]
-
-
-def enumerate_simultaneous_cores(ts: Iterable[int], max_n: int) -> Iterator[Partition]:
-    """Simultaneous cores for all moduli in ts with weight at most max_n.
-
-    When the moduli contain a coprime pair and max_n is at least
-    sufficient_core_bound(ts), the stream is the complete finite set.
-    """
-    moduli = check_moduli(ts)
-    _check_nonneg(max_n, "max_n")
-    for n in range(max_n + 1):
-        for p in partitions_of(n):
-            if p.is_simultaneous_core(moduli):
-                yield p
 
 
 def sufficient_core_bound(ts: Iterable[int]) -> int:

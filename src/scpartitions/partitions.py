@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 __all__ = [
     "Partition",
     "PartitionError",
-    "DiagonalClasses",
     "parse_partition",
     "sc_from_diagonal",
-    "split_diagonal_classes",
     "beta_from_diagonal",
     "check_moduli",
 ]
@@ -198,13 +196,6 @@ class Partition:
         return _beta_core(set(self.beta_set()), check_moduli(ts))
 
 
-class DiagonalClasses(NamedTuple):
-    """Diagonal hooks split by residue mod 4, each part kept decreasing."""
-
-    d1: tuple[int, ...]
-    d3: tuple[int, ...]
-
-
 def parse_partition(text: str) -> Partition:
     """Parse the wire form: comma-separated decreasing parts, '' for empty."""
     text = text.strip()
@@ -249,15 +240,6 @@ def sc_from_diagonal(deltas: Iterable[int]) -> Partition:
             break
         parts.append(c)
     return Partition._from_parts(tuple(parts))
-
-
-def split_diagonal_classes(deltas: Iterable[int]) -> DiagonalClasses:
-    """Split diagonal hooks by residue mod 4 (1 vs 3), order preserved."""
-    ds = _validated_deltas(deltas)
-    return DiagonalClasses(
-        d1=tuple(x for x in ds if x % 4 == 1),
-        d3=tuple(x for x in ds if x % 4 == 3),
-    )
 
 
 def beta_from_diagonal(deltas: Iterable[int]) -> tuple[int, ...]:

@@ -91,19 +91,10 @@ class TruncatedSeries:
         tail = ", ..." if self.order >= 8 else ""
         return f"TruncatedSeries([{head}{tail}], order={self.order})"
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._coeffs], self.order)
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
         return TruncatedSeries(
             [a + b for a, b in zip(self._coeffs, other._coeffs)], self.order
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            [a - b for a, b in zip(self._coeffs, other._coeffs)], self.order
         )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -141,10 +132,6 @@ class TruncatedSeries:
 
     def to_json_dict(self) -> dict:
         return {"order": self.order, "coefficients": list(self._coeffs)}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "TruncatedSeries":
-        return cls(obj["coefficients"], obj["order"])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import bijection, enumeration, series
 from .partitions import beta_from_diagonal, sc_from_diagonal
 
-__all__ = ["SweepBounds", "VerificationReport", "CHECKS", "all_ids", "run_check", "run_all"]
+__all__ = ["SweepBounds", "VerificationReport", "CHECKS", "all_ids", "run_check"]
 
 
 @dataclass(frozen=True)
@@ -505,8 +505,3 @@ def run_check(theorem: str, **overrides) -> VerificationReport:
         counterexample=counterexample,
         elapsed_ms=elapsed_ms,
     )
-
-
-def run_all(**overrides) -> list[VerificationReport]:
-    """Run every registered check in registry order."""
-    return [run_check(theorem, **overrides) for theorem in CHECKS]

@@ -17,7 +17,6 @@ from scpartitions import (
     core_count_tables,
     core_count_table,
     count_sc_m,
-    enumerate_simultaneous_cores,
     motzkin,
     partition_count,
     partition_count_table,
@@ -136,7 +135,7 @@ def test_07_pair_core_counts_and_catalan():
     with criterion("7 pair cores / Catalan"):
         for pair in ((2, 3), (3, 4), (4, 5), (3, 5), (5, 6)):
             bound = sufficient_core_bound(pair)
-            total = sum(1 for _ in enumerate_simultaneous_cores(pair, bound))
+            total = sim_core_count_table(pair, bound).total()
             assert total == anderson_count(*pair)
         for n, expected in ((1, 1), (2, 2), (3, 5), (4, 14)):
             assert catalan(n) == expected
@@ -157,13 +156,13 @@ def test_08_triple_core_counts_and_motzkin():
             assert motzkin(n) == expected
             ts = (n, n + 1, n + 2)
             bound = sufficient_core_bound(ts)
-            total = sum(1 for _ in enumerate_simultaneous_cores(ts, bound))
+            total = sim_core_count_table(ts, bound).total()
             assert total == expected
             assert wang_count(n, 1) == total
         for n, d in ((3, 1), (4, 1), (3, 2)):
             ts = (n, n + d, n + 2 * d)
             bound = sufficient_core_bound(ts)
-            total = sum(1 for _ in enumerate_simultaneous_cores(ts, bound))
+            total = sim_core_count_table(ts, bound).total()
             assert total == wang_count(n, d)
 
 

@@ -37,11 +37,10 @@ class TestClassify:
             classify(Partition([5, 4, 2, 1]))
 
     def test_class_encodes_residue_surplus(self):
-        from scpartitions import split_diagonal_classes
-
         for sc in all_sc(30):
-            d1, d3 = split_diagonal_classes(sc.diagonal_hooks())
-            diff = len(d1) - len(d3)
+            a, b = diagonal_sequence_pair(sc)
+            diff = len(a) - len(b)
+            assert diff == sum(1 if h % 4 == 1 else -1 for h in sc.diagonal_hooks())
             m = classify(sc)
             assert diff == (-1) ** (m + 1) * ((m + 1) // 2)
 
@@ -51,6 +50,18 @@ class TestDiagonalSequencePair:
         assert diagonal_sequence_pair(Partition([4, 4, 4, 3])) == ((1,), (2, 1))
         assert diagonal_sequence_pair(LAM) == ((5, 3, 2, 0), (4, 1))
         assert diagonal_sequence_pair(LAM_T) == ((1,), (8, 5, 3))
+
+    def test_residue_split_examples(self):
+        assert diagonal_sequence_pair(sc_from_diagonal([7, 5, 3])) == ((1,), (2, 1))
+        assert diagonal_sequence_pair(Partition()) == ((), ())
+
+    def test_residue_split_partitions_hooks(self):
+        # a carries the hooks 1 mod 4 and b those 3 mod 4, each in order
+        a, b = diagonal_sequence_pair(LAM)
+        d1 = [4 * x + 1 for x in a]
+        d3 = [4 * y - 1 for y in b]
+        assert (d1, d3) == ([21, 13, 9, 1], [15, 3])
+        assert sorted(d1 + d3, reverse=True) == list(LAM.diagonal_hooks())
 
     def test_sequences_rebuild_diagonal(self):
         for sc in all_sc(30):

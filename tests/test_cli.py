@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -130,6 +131,28 @@ class TestCount:
         obj = json.loads(out)
         assert obj["params"] == {"m": 0, "ts": [4, 6]}
         assert sum(c for _, c in obj["rows"]) == 2
+
+    def test_sc_sim_negative_m_names_the_flag(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--family", "sc-sim", "--ts", "4,6", "--m", "-1", "--max", "5"
+        )
+        assert (code, out, err) == (2, "", "error: --m must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("family", [["core", "--t", "3"], ["sim", "--ts", "3,4"]])
+    def test_over_budget_refused_before_enumerating(self, capsys, family):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--family", *family, "--max", "200")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --max 200 would enumerate more than {cli.COUNT_BUDGET} partitions;"
+            " the largest --max admitted is 59\n"
+        )
+
+    def test_under_budget_still_counts(self, capsys):
+        code, out, _ = run(capsys, "count", "--family", "core", "--t", "3", "--max", "40")
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 41
 
 
 class TestSeries:

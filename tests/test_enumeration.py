@@ -11,7 +11,6 @@ from scpartitions import (
     count_sc_m,
     count_sc_sim_core_m,
     distinct_odd_decompositions,
-    enumerate_simultaneous_cores,
     motzkin,
     partition_count,
     partition_count_table,
@@ -134,18 +133,18 @@ class TestCoreCounts:
 
     def test_table_matches_pointwise(self):
         table = core_count_table(3, 12)
-        assert table.counts() == [sum(1 for p in partitions_of(n) if p.is_t_core(3)) for n in range(13)]
+        assert list(table.rows) == [sum(1 for p in partitions_of(n) if p.is_t_core(3)) for n in range(13)]
 
     def test_multi_sweep_matches_single(self):
         tables = core_count_tables((2, 3, 5), 10)
         for t in (2, 3, 5):
-            assert tables[t].counts() == core_count_table(t, 10).counts()
+            assert tables[t].rows == core_count_table(t, 10).rows
 
     def test_two_core_counts_are_staircase_indicator(self):
         # 2-cores are exactly the staircases, one per triangular weight
         table = core_count_table(2, 21)
         triangulars = {k * (k + 1) // 2 for k in range(7)}
-        assert table.counts() == [1 if n in triangulars else 0 for n in range(22)]
+        assert list(table.rows) == [1 if n in triangulars else 0 for n in range(22)]
 
 
 class TestTabulate:
@@ -180,16 +179,29 @@ class TestTabulate:
             tabulate(partitions_of, [(2,)], -1)
 
 
+def sim_cores(ts, max_n):
+    """Parts of the simultaneous cores of weight <= max_n, by brute force."""
+    return [
+        p.parts
+        for n in range(max_n + 1)
+        for p in partitions_of(n)
+        if p.is_simultaneous_core(ts)
+    ]
+
+
 class TestSimultaneousCores:
     def test_pair_23(self):
-        assert [p.parts for p in enumerate_simultaneous_cores((2, 3), 10)] == [(), (1,)]
+        assert sim_cores((2, 3), 10) == [(), (1,)]
+        assert sim_core_count_table((2, 3), 10).total() == 2
 
     def test_pair_34(self):
-        got = [p.parts for p in enumerate_simultaneous_cores((3, 4), 5)]
+        got = sim_cores((3, 4), 5)
         assert got == [(), (1,), (2,), (1, 1), (3, 1, 1)]
+        assert sim_core_count_table((3, 4), 5).total() == len(got)
 
     def test_triple_345(self):
-        assert sum(1 for _ in enumerate_simultaneous_cores((3, 4, 5), 6)) == 4
+        assert sim_core_count_table((3, 4, 5), 6).total() == 4
+        assert len(sim_cores((3, 4, 5), 6)) == 4
 
     def test_bounds(self):
         assert sufficient_core_bound((2, 3)) == 1
@@ -204,7 +216,7 @@ class TestSimultaneousCores:
 
     def test_empty_moduli_rejected(self):
         with pytest.raises(ValueError):
-            list(enumerate_simultaneous_cores((), 5))
+            sim_core_count_table((), 5)
 
 
 class TestClosedForms:
@@ -220,8 +232,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("pair", [(2, 3), (3, 4), (3, 5)])
     def test_anderson_matches_enumeration(self, pair):
         bound = sufficient_core_bound(pair)
-        total = sum(1 for _ in enumerate_simultaneous_cores(pair, bound))
-        assert total == anderson_count(*pair)
+        assert sim_core_count_table(pair, bound).total() == anderson_count(*pair)
 
     def test_wang_examples(self):
         assert wang_count(3, 1) == 4 == motzkin(3)
@@ -237,8 +248,7 @@ class TestClosedForms:
         for n in (1, 2, 3):
             ts = (n, n + 1, n + 2)
             bound = sufficient_core_bound(ts)
-            total = sum(1 for _ in enumerate_simultaneous_cores(ts, bound))
-            assert total == wang_count(n, 1)
+            assert sim_core_count_table(ts, bound).total() == wang_count(n, 1)
 
     def test_catalan_against_recurrence(self):
         assert [catalan(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]
@@ -292,6 +302,6 @@ class TestCountTable:
 
     def test_sc_table_matches_generator(self):
         table = sc_count_table(20)
-        assert table.counts() == [
+        assert list(table.rows) == [
             sum(1 for _ in self_conjugate_of(n)) for n in range(21)
         ]

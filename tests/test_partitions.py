@@ -8,7 +8,6 @@ from scpartitions import (
     parse_partition,
     partitions_of,
     sc_from_diagonal,
-    split_diagonal_classes,
 )
 
 from oracles import hooks_by_cells, transpose_by_cells
@@ -202,22 +201,6 @@ class TestDiagonalHooks:
                 assert sc.weight == n
                 assert sc.is_self_conjugate()
                 assert sc.diagonal_hooks() == deltas
-
-
-class TestDiagonalClasses:
-    def test_examples(self):
-        assert split_diagonal_classes([7, 5, 3]) == ((5,), (7, 3))
-        assert split_diagonal_classes([21, 15, 13, 9, 3, 1]) == (
-            (21, 13, 9, 1),
-            (15, 3),
-        )
-        assert split_diagonal_classes([]) == ((), ())
-
-    def test_partitioning(self):
-        d1, d3 = split_diagonal_classes([21, 15, 13, 9, 3, 1])
-        assert sorted(d1 + d3, reverse=True) == [21, 15, 13, 9, 3, 1]
-        assert all(x % 4 == 1 for x in d1)
-        assert all(x % 4 == 3 for x in d3)
 
 
 class TestBetaFromDiagonal:

@@ -21,3 +21,31 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Exported but not yet called by the library: ROADMAP item 2 adds the
+# verify check that compares them with the simultaneous-core tables.
+PENDING_PUBLIC = {"anderson_count", "wang_count"}
+
+
+def test_every_public_name_is_used_by_the_library():
+    # A name in a module's __all__ must be loaded somewhere in the package
+    # (a call, an attribute access, an annotation); its definition and its
+    # __all__ string do not count. Methods are not covered.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    exported = {
+        name
+        for filename, tree in trees.items()
+        if filename != "__init__.py"
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+    loaded = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert exported - loaded == PENDING_PUBLIC

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -33,8 +35,8 @@ def test_unknown_id_rejected():
         verify.run_check("no-such-check")
 
 
-def test_run_all_covers_registry():
-    reports = verify.run_all(**SMALL)
+def test_run_check_covers_registry():
+    reports = [verify.run_check(t, **SMALL) for t in verify.all_ids()]
     assert [r.theorem for r in reports] == verify.all_ids()
     assert all(r.passed for r in reports)
 
@@ -105,29 +107,147 @@ def _bump(fn, exponent):
     return bumped
 
 
+def _bump_row(fn, n):
+    def bumped(*args):
+        table = fn(*args)
+        rows = list(table.rows)
+        rows[n] += 1
+        return dataclasses.replace(table, rows=tuple(rows))
+
+    return bumped
+
+
+def _flip_on(fn, parts):
+    def flipped(p, *args):
+        got = fn(p, *args)
+        return (not got) if p.parts == parts else got
+
+    return flipped
+
+
+# One row per registered check: (id, (owner, name) patched, defect, bounds,
+# cases up to and including the failing one, counterexample payload).
+# The defect sits beside the law under test, so classify and phi still run
+# unpatched and their output reaches the payload.
+DEFECT_TABLE = [
+    # a series row counts order + 1 cases and fails on the first modulus
+    (
+        "eq1.1", (verify.series, "core_product_series"),
+        lambda fn: _bump(fn, 17), dict(order=20),
+        21, {"t": 2, "exponent": 17, "enumerated": 0, "product": 1},
+    ),
+    # the second phase counts on from the first: 63 + 9 + 2 cases
+    (
+        "prop3.4", (verify.enumeration, "count_sc_m"),
+        lambda fn: lambda n, m: fn(n, m) + (n == 2 and m == 1), dict(max_weight=12),
+        74, {"n": 2, "m": 1, "count": 1, "expected": 0},
+    ),
+    # 1 self-conjugate case, then 4 images of weight <= 2 and (3) in 7 classes
+    (
+        "thm3.1", (verify.bijection, "psi"),
+        lambda fn: lambda m, mu: fn(m, Partition([3]) if mu.weight == 3 else mu),
+        dict(max_weight=0),
+        37, {"mu": "2,1", "class": 0, "reason": "phi(psi) round trip"},
+    ),
+    (
+        "lem2.2", (verify, "beta_from_diagonal"),
+        lambda fn: lambda deltas: fn(deltas)[:-1] if sum(deltas) == 8 else fn(deltas),
+        dict(max_weight=12),
+        8, {"diagonal": "7,1", "beta_direct": [7, 4, 2, 1], "beta_derived": [7, 4, 2]},
+    ),
+    (
+        "prop2.3", (Partition, "disparity"),
+        lambda fn: lambda p: fn(p) + (p.weight == 9), dict(max_weight=12),
+        10, {"partition": "5,1,1,1,1", "class": 1, "disparity": 2, "expected": 1},
+    ),
+    (
+        "lem4.1", (verify.bijection, "complement_beta"),
+        lambda fn: lambda mu: fn(mu) | {99} if mu.weight == 4 else fn(mu),
+        dict(max_weight=8),
+        7, {"mu": "4", "complement": [99], "expected": []},
+    ),
+    (
+        "prop4.2", (verify.bijection, "half_even_beta"),
+        lambda fn: lambda sc: fn(sc)[1:] if sc.weight == 9 else fn(sc),
+        dict(max_weight=12),
+        9, {
+            "partition": "5,1,1,1,1", "half_even_beta": [1], "expected": [2, 1],
+            "principal_hook_residue": 1,
+        },
+    ),
+    (
+        "thm4.4", (Partition, "hook_multiset"),
+        lambda fn: lambda p: fn(p) + Counter({4: 1}) if p.parts == (3, 2, 1) else fn(p),
+        dict(max_weight=12),
+        6, {
+            "partition": "3,2,1", "mu": "", "k": 2,
+            "even_hooks_at_2k": 1, "twice_mu_hooks_at_k": 0,
+        },
+    ),
+    (
+        "prop4.4", (verify.bijection, "corresponding_partition_after_deletion"),
+        lambda fn: lambda mu, residue: fn(mu, residue) if mu.weight != 2 else mu,
+        dict(max_weight=16),
+        7, {"partition": "4,2,1,1", "mu": "1,1", "after_deletion": "1,1", "expected": ""},
+    ),
+    (
+        "cor4.5", (Partition, "is_simultaneous_core"),
+        lambda fn: _flip_on(fn, (3, 1, 1)), dict(max_weight=12),
+        17, {
+            "partition": "3,1,1", "mu": "1", "moduli": [2],
+            "sc_is_doubled_core": False, "mu_is_core": True,
+        },
+    ),
+    (
+        "prop4.6", (verify.enumeration, "sim_core_count_table"),
+        lambda fn: _bump_row(fn, 1), dict(max_weight=12, max_class=1),
+        5, {"ts": [4, 6], "m": 0, "n": 4, "count": 1, "expected": 2},
+    ),
+    (
+        "cor4.8", (verify.enumeration, "catalan"),
+        lambda fn: lambda n: fn(n) + (n == 2), dict(max_class=1),
+        5, {"ts": [4, 6], "m": 0, "total": 2, "expected": 3},
+    ),
+    (
+        "eq1.2", (verify.series, "sc_even_core_product_series"),
+        lambda fn: _bump(fn, 9), dict(order=12),
+        13, {"t": 1, "exponent": 9, "enumerated": 0, "product": 1},
+    ),
+    (
+        "gauss", (verify.series, "gauss_product_series"),
+        lambda fn: _bump(fn, 6), dict(order=12),
+        13, {"exponent": 6, "triangular": 1, "product": 2},
+    ),
+    (
+        "cor1.2", (verify.enumeration, "partition_count_table"),
+        lambda fn: _bump_row(fn, 2), dict(order=12),
+        13, {"exponent": 8, "enumerated": 2, "product": 3},
+    ),
+    (
+        "thm1.4", (verify.enumeration, "sim_core_count_table"),
+        lambda fn: _bump_row(fn, 0), dict(order=12),
+        13, {"ts": [2, 3], "exponent": 0, "enumerated": 1, "product": 2},
+    ),
+    (
+        "cor1.5", (verify.enumeration, "core_count_table"),
+        lambda fn: _bump_row(fn, 1), dict(order=12),
+        13, {"t": 2, "exponent": 4, "enumerated": 1, "product": 2},
+    ),
+    (
+        "ringlaws", (TruncatedSeries, "__mul__"),
+        lambda fn: lambda x, y: TruncatedSeries(x.coeffs[:1] + fn(x, y).coeffs[1:]),
+        dict(order=2, seed=3),
+        1, {"law": "commutativity", "x": [-2, 9, 8], "y": [-5, 2, 6], "z": [9, -7, -9]},
+    ),
+]
+
+
+def test_defect_table_covers_every_check():
+    assert sorted(row[0] for row in DEFECT_TABLE) == sorted(verify.all_ids())
+
+
 @pytest.mark.parametrize(
-    "theorem, target, defect, bounds, cases, counterexample",
-    [
-        # a series row counts order + 1 cases and fails on the first modulus
-        (
-            "eq1.1", (verify.series, "core_product_series"),
-            lambda fn: _bump(fn, 17), dict(order=20),
-            21, {"t": 2, "exponent": 17, "enumerated": 0, "product": 1},
-        ),
-        # the second phase counts on from the first: 63 + 9 + 2 cases
-        (
-            "prop3.4", (verify.enumeration, "count_sc_m"),
-            lambda fn: lambda n, m: fn(n, m) + (n == 2 and m == 1), dict(max_weight=12),
-            74, {"n": 2, "m": 1, "count": 1, "expected": 0},
-        ),
-        # 1 self-conjugate case, then 4 images of weight <= 2 and (3) in 7 classes
-        (
-            "thm3.1", (verify.bijection, "psi"),
-            lambda fn: lambda m, mu: fn(m, Partition([3]) if mu.weight == 3 else mu),
-            dict(max_weight=0),
-            37, {"mu": "2,1", "class": 0, "reason": "phi(psi) round trip"},
-        ),
-    ],
+    "theorem, target, defect, bounds, cases, counterexample", DEFECT_TABLE
 )
 def test_first_counterexample_stops_and_counts(
     monkeypatch, theorem, target, defect, bounds, cases, counterexample
