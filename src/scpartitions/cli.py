@@ -109,19 +109,32 @@ def _cmd_inverse(args) -> int:
     return 0
 
 
-# Most partitions `count --family core|sim` may stream: the sum of p(n) over n <= --max.
+# Most partitions `count --family core|sim` may visit: the sum of p(n) over n <= --max.
+# The search over cores visits that many only when every modulus exceeds --max.
 COUNT_BUDGET = 6_000_000
+
+# Most (partition, class) pairs thm3.1 may round-trip through psi and phi: the sum of
+# p(w) * (--max-m + 1) over w <= --max-mu.
+ROUND_TRIP_BUDGET = 1_000_000
+
+
+def _largest_admitted(max_n: int, budget: int, copies: int = 1) -> int:
+    """Largest n <= max_n with copies * (p(0) + ... + p(n)) <= budget; -1 if none."""
+    total = 0
+    for n in range(max_n + 1):
+        total += enumeration.partition_count(n) * copies
+        if total > budget:
+            return n - 1
+    return max_n
 
 
 def _check_count_budget(max_n: int) -> None:
-    total = 0
-    for n in range(max_n + 1):
-        total += enumeration.partition_count(n)
-        if total > COUNT_BUDGET:
-            raise UsageError(
-                f"--max {max_n} would enumerate more than {COUNT_BUDGET} partitions;"
-                f" the largest --max admitted is {n - 1}"
-            )
+    admitted = _largest_admitted(max_n, COUNT_BUDGET)
+    if admitted < max_n:
+        raise UsageError(
+            f"--max {max_n} would enumerate more than {COUNT_BUDGET} partitions;"
+            f" the largest --max admitted is {admitted}"
+        )
 
 
 def _count_table(args) -> enumeration.CountTable:
@@ -202,6 +215,14 @@ def _cmd_verify(args) -> int:
     if not args.all and args.theorem is None:
         raise UsageError("a theorem id or --all is required")
     bounds = {field: _nonneg(getattr(args, field), flag) for flag, field, _ in _BOUND_FLAGS}
+    max_mu, max_class = bounds["max_mu_weight"], bounds["max_class"]
+    admitted = _largest_admitted(max_mu, ROUND_TRIP_BUDGET, max_class + 1)
+    if admitted < max_mu:
+        raise UsageError(
+            f"--max-mu {max_mu} with --max-m {max_class} would round-trip more than"
+            f" {ROUND_TRIP_BUDGET} partition-class pairs; the largest --max-mu admitted"
+            f" is {admitted if admitted >= 0 else 'none'}"
+        )
     reports = []
     for theorem in ids:
         report = verify.run_check(theorem, seed=args.seed, **bounds)

@@ -2,9 +2,11 @@
 
 Generation order is part of the contract: partitions of n stream in
 reverse lexicographic order, self-conjugate partitions in decreasing
-lexicographic order of their diagonal hook tuples. Counting sweeps are
-brute force by design; they double as independent oracles for the
-closed forms and product expansions checked elsewhere.
+lexicographic order of their diagonal hook tuples. The core tables are an
+exhaustive depth-first search over cores alone (tabulate, growing a
+partition one first row or one principal hook at a time), so their cost
+follows the number of cores, not of partitions. Brute force (every
+partition of n, then the core test) survives as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .bijection import classify
-from .partitions import Partition, _beta_core, check_moduli, sc_from_diagonal
+from .bijection import _class_index, classify
+from .partitions import Partition, _beta_core, beta_from_diagonal, check_moduli, sc_from_diagonal
 
 __all__ = [
     "CountTable",
@@ -25,6 +27,8 @@ __all__ = [
     "self_conjugate_of",
     "count_sc_m",
     "tabulate",
+    "add_row",
+    "add_hook",
     "sufficient_core_bound",
     "count_sc_sim_core_m",
     "anderson_count",
@@ -166,26 +170,81 @@ def count_sc_m(n: int, m: int) -> int:
 
 
 def tabulate(
-    stream: Callable[[int], Iterable[Partition]],
+    grow: Callable[[tuple, int, list], Iterable[tuple]],
     core_sets: Iterable[Iterable[int]],
     max_n: int,
+    counted: Callable[[tuple], bool] | None = None,
 ) -> list[tuple[int, ...]]:
-    """Per-weight core counts of a partition stream, one row per moduli set.
+    """Per-weight core counts by a depth-first search that holds only cores.
 
-    stream(n) yields the partitions of weight n to be counted. For each
-    moduli set in core_sets, the returned row holds at index n the number
-    of those partitions that are simultaneous cores for that set. Each
-    partition's first-column hook set is built once for all the sets.
+    The search starts from the empty partition, node (). grow(node, room,
+    alive) yields the children of a node weighing at most room more, as
+    (child, gain, kept), where kept lists the (row, moduli) pairs of alive
+    for which the child is still a core; only a child with a nonempty kept
+    is searched. A partition is the child of its reduction (itself less the
+    outer layer grow adds), and the reduction of a core is a core (see
+    add_row, add_hook), so each core is reached once. Recursion is as deep
+    as the partition has rows or diagonal hooks.
+
+    Row i of the result holds at index n the number of cores of weight n
+    for core_sets[i]; counted, if given, picks the nodes that are counted
+    (never the ones searched).
     """
-    counters = [([0] * (max_n + 1), check_moduli(ts)) for ts in core_sets]
+    # Moduli ascending, so that moduli[0] is the smallest (see add_row).
+    counters = [([0] * (max_n + 1), tuple(sorted(set(check_moduli(ts))))) for ts in core_sets]
     _check_nonneg(max_n, "max_n")
-    for n in range(max_n + 1):
-        for p in stream(n):
-            beta = set(p.beta_set())
-            for row, moduli in counters:
-                if _beta_core(beta, moduli):
-                    row[n] += 1
+
+    def visit(node: tuple, weight: int, alive: list) -> None:
+        if counted is None or counted(node):
+            for row, _ in alive:
+                row[weight] += 1
+        for child, gain, kept in grow(node, max_n - weight, alive):
+            visit(child, weight + gain, kept)
+
+    if counters:
+        visit((), 0, counters)
     return [tuple(row) for row, _ in counters]
+
+
+def add_row(beta: tuple, room: int, alive: list) -> Iterator[tuple]:
+    """Growth by a new first row: the node is the first-column hook set.
+
+    Deleting the first row of a partition leaves the hook of every cell in
+    rows 2, 3, ... unchanged, so the reduction of a t-core is a t-core. A
+    new first row a >= the old one keeps the hooks beta (decreasing) and
+    adds b = a + len(beta) above them; by the abacus criterion the child is
+    a t-core iff b < t or b - t is in beta, and either forces
+    b <= beta[0] + t (beta[0] = -1 when empty).
+    """
+    ell = len(beta)
+    top = beta[0] if beta else -1
+    reach = max(moduli[0] for _, moduli in alive)
+    for b in range(max(top + 1, 1), min(room + ell, top + reach) + 1):
+        kept = [pair for pair in alive if all(b < t or b - t in beta for t in pair[1])]
+        if kept:
+            yield (b,) + beta, b - ell, kept
+
+
+def add_hook(deltas: tuple, room: int, alive: list) -> Iterator[tuple]:
+    """Growth by a new principal hook: the node is the diagonal hook set.
+
+    Deleting the principal hook (first row and column) of a self-conjugate
+    partition leaves the hook of every cell (i, j) with i, j >= 2
+    unchanged, so the reduction of a core is a core. A child adds an odd
+    delta above the hooks deltas (decreasing); its first-column hooks are
+    delta, (delta + top)/2 and smaller ones (beta_from_diagonal), so a
+    t-core child has delta < t or delta - t <= (delta + top)/2, either way
+    delta <= top + 2t (top = -1 when empty). Each child is tested on its
+    whole hook set.
+    """
+    top = deltas[0] if deltas else -1
+    reach = 2 * max(moduli[0] for _, moduli in alive)
+    for delta in range(top + 2, min(room, top + reach) + 1, 2):
+        child = (delta,) + deltas
+        beta = set(beta_from_diagonal(child))
+        kept = [pair for pair in alive if _beta_core(beta, pair[1])]
+        if kept:
+            yield child, delta, kept
 
 
 def sufficient_core_bound(ts: Iterable[int]) -> int:
@@ -212,7 +271,9 @@ def sufficient_core_bound(ts: Iterable[int]) -> int:
 def count_sc_sim_core_m(ts: Iterable[int], m: int, max_n: int) -> CountTable:
     """Per-weight counts of class-m self-conjugate simultaneous cores.
 
-    All moduli must be even; odd entries are rejected.
+    All moduli must be even; odd entries are rejected. The principal-hook
+    reduction may change the class, so the class (from the surplus of hooks
+    1 over hooks 3 mod 4) filters the counted nodes only.
     """
     moduli = check_moduli(ts)
     for t in moduli:
@@ -220,10 +281,10 @@ def count_sc_sim_core_m(ts: Iterable[int], m: int, max_n: int) -> CountTable:
             raise ValueError(f"moduli must all be even, got {t}")
     _check_nonneg(m, "m")
 
-    def of_class(n: int) -> Iterator[Partition]:
-        return (sc for sc in self_conjugate_of(n) if classify(sc) == m)
+    def of_class(deltas: tuple) -> bool:
+        return _class_index(sum(1 if x % 4 == 1 else -1 for x in deltas)) == m
 
-    (rows,) = tabulate(of_class, [moduli], max_n)
+    (rows,) = tabulate(add_hook, [moduli], max_n, of_class)
     return CountTable("sc-sim", {"ts": list(moduli), "m": m}, rows)
 
 
@@ -295,9 +356,9 @@ def sc_count_table(max_n: int) -> CountTable:
 
 
 def core_count_tables(ts: Iterable[int], max_n: int) -> dict:
-    """t-core count tables for several moduli from a single partition sweep."""
+    """t-core count tables for several moduli from a single search."""
     moduli = tuple(dict.fromkeys(check_moduli(ts)))
-    rows = tabulate(partitions_of, [(t,) for t in moduli], max_n)
+    rows = tabulate(add_row, [(t,) for t in moduli], max_n)
     return {t: CountTable("core", {"t": t}, row) for t, row in zip(moduli, rows)}
 
 
@@ -309,18 +370,18 @@ def core_count_table(t: int, max_n: int) -> CountTable:
 def sc_sim_core_count_table(ts: Iterable[int], max_n: int) -> CountTable:
     """Self-conjugate simultaneous-core counts (all classes together)."""
     moduli = check_moduli(ts)
-    (rows,) = tabulate(self_conjugate_of, [moduli], max_n)
+    (rows,) = tabulate(add_hook, [moduli], max_n)
     return CountTable("sc-sim-all", {"ts": list(moduli)}, rows)
 
 
 def sc_core_count_table(t: int, max_n: int) -> CountTable:
     """Self-conjugate t-core counts for n in [0, max_n]."""
-    (rows,) = tabulate(self_conjugate_of, [(t,)], max_n)
+    (rows,) = tabulate(add_hook, [(t,)], max_n)
     return CountTable("sc-core", {"t": t}, rows)
 
 
 def sim_core_count_table(ts: Iterable[int], max_n: int) -> CountTable:
     """Simultaneous-core counts for n in [0, max_n]."""
     moduli = check_moduli(ts)
-    (rows,) = tabulate(partitions_of, [moduli], max_n)
+    (rows,) = tabulate(add_row, [moduli], max_n)
     return CountTable("sim", {"ts": list(moduli)}, rows)

@@ -2,10 +2,15 @@
 
 These deliberately avoid the library's own formulas: conjugation goes
 through an explicit cell set, hooks are counted by walking boxes, and
-the classical sequences come from their recurrences.
+the classical sequences come from their recurrences. The core-count
+oracles take every partition (or self-conjugate partition) of each weight
+from the library's generators and test it with its core predicate, so
+they share nothing with the library's search over cores.
 """
 
 from functools import lru_cache
+
+from scpartitions import classify, partitions_of, self_conjugate_of
 
 
 def cells(parts):
@@ -58,6 +63,36 @@ def partitions_brute(n, cap=None):
         for rest in partitions_brute(n - first, first):
             out.append((first,) + rest)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _partitions_upto(max_n):
+    return tuple(tuple(partitions_of(n)) for n in range(max_n + 1))
+
+
+@lru_cache(maxsize=None)
+def _self_conjugate_upto(max_n):
+    return tuple(tuple(self_conjugate_of(n)) for n in range(max_n + 1))
+
+
+def cores_by_brute_force(ts, max_n):
+    """Per-weight count of the simultaneous ts-cores: test every partition."""
+    return tuple(
+        sum(1 for p in weight if p.is_simultaneous_core(ts))
+        for weight in _partitions_upto(max_n)
+    )
+
+
+def sc_cores_by_brute_force(ts, max_n, m=None):
+    """Per-weight count of the self-conjugate ts-cores (of class m, if given)."""
+    return tuple(
+        sum(
+            1
+            for sc in weight
+            if sc.is_simultaneous_core(ts) and (m is None or classify(sc) == m)
+        )
+        for weight in _self_conjugate_upto(max_n)
+    )
 
 
 def dense_product(a, b, order):

@@ -204,6 +204,30 @@ class TestVerify:
         assert err == f"error: {argv[1]} must be >= 0, got {argv[2]}\n"
         assert not err.startswith(f"error: {bound}")
 
+    def test_round_trip_budget_refuses_before_any_check(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "thm3.1", "--max-mu", "200")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --max-mu 200 with --max-m 6 would round-trip more than"
+            f" {cli.ROUND_TRIP_BUDGET} partition-class pairs; the largest --max-mu admitted is 37\n"
+        )
+
+    def test_round_trip_budget_edges(self, capsys):
+        assert cli._largest_admitted(200, cli.ROUND_TRIP_BUDGET, 7) == 37
+        assert cli._largest_admitted(37, cli.ROUND_TRIP_BUDGET, 7) == 37
+        code, _, err = run(capsys, "verify", "gauss", "--max-mu", "0", "--max-m", "2000000")
+        assert code == 2
+        assert err.endswith("; the largest --max-mu admitted is none\n")
+
+    def test_default_bounds_are_within_budget(self, capsys):
+        bounds = verify.SweepBounds()
+        copies = bounds.max_class + 1
+        assert cli._largest_admitted(bounds.max_mu_weight, cli.ROUND_TRIP_BUDGET, copies) == 12
+        code, _, _ = run(capsys, "verify", "thm3.1")
+        assert code == 0
+
     def test_zero_cases_exits_one(self, capsys):
         code, out, err = run(capsys, "verify", "prop4.2", "--max-weight", "0")
         assert code == 1

@@ -4,10 +4,13 @@ import pytest
 
 from scpartitions import (
     Partition,
+    add_hook,
+    add_row,
     anderson_count,
     catalan,
     core_count_table,
     core_count_tables,
+    core_product_series,
     count_sc_m,
     count_sc_sim_core_m,
     distinct_odd_decompositions,
@@ -25,7 +28,13 @@ from scpartitions import (
     wang_count,
 )
 
-from oracles import catalan_by_recurrence, motzkin_by_recurrence, partitions_brute
+from oracles import (
+    catalan_by_recurrence,
+    cores_by_brute_force,
+    motzkin_by_recurrence,
+    partitions_brute,
+    sc_cores_by_brute_force,
+)
 
 
 class TestPartitionsOf:
@@ -149,14 +158,14 @@ class TestCoreCounts:
 
 class TestTabulate:
     def test_one_sweep_counts_every_moduli_set(self):
-        rows = tabulate(partitions_of, [(2,), (3,), (2, 3), (3, 4)], 12)
+        rows = tabulate(add_row, [(2,), (3,), (2, 3), (3, 4)], 12)
         assert rows[0] == core_count_table(2, 12).rows
         assert rows[1] == core_count_table(3, 12).rows
         assert rows[2] == sim_core_count_table((2, 3), 12).rows
         assert rows[3] == sim_core_count_table((3, 4), 12).rows
 
     def test_rows_match_brute_force_over_any_stream(self):
-        rows = tabulate(self_conjugate_of, [(4,), (4, 6)], 16)
+        rows = tabulate(add_hook, [(4,), (4, 6)], 16)
         for n in range(17):
             scs = list(self_conjugate_of(n))
             assert rows[0][n] == sum(1 for sc in scs if sc.is_t_core(4))
@@ -164,7 +173,7 @@ class TestTabulate:
         assert rows[1] == sc_sim_core_count_table((4, 6), 16).rows
 
     def test_rows_are_tuples_indexed_by_weight(self):
-        assert tabulate(partitions_of, [(5,)], 4) == [(1, 1, 2, 3, 5)]
+        assert tabulate(add_row, [(5,)], 4) == [(1, 1, 2, 3, 5)]
         table = core_count_table(5, 4)
         assert table.rows == (1, 1, 2, 3, 5)
         assert table.max_n == 4
@@ -172,11 +181,71 @@ class TestTabulate:
     @pytest.mark.parametrize("core_sets", [[()], [(3,), (2, 0)], [(-1,)]])
     def test_bad_moduli_rejected(self, core_sets):
         with pytest.raises(ValueError, match="modul"):
-            tabulate(partitions_of, core_sets, 3)
+            tabulate(add_row, core_sets, 3)
 
     def test_negative_max_n_rejected(self):
         with pytest.raises(ValueError, match="max_n"):
-            tabulate(partitions_of, [(2,)], -1)
+            tabulate(add_row, [(2,)], -1)
+
+    def test_counted_filters_counts_not_the_search(self):
+        # The root, the empty partition, is class 0: a filter that also pruned
+        # would end the search there and count no class-1 core at all.
+        def of_class_1(deltas):
+            return sum(1 if x % 4 == 1 else -1 for x in deltas) == 1
+
+        (rows,) = tabulate(add_hook, [(41,)], 40, of_class_1)
+        assert rows == sc_cores_by_brute_force((41,), 40, m=1)
+        assert rows[0] == 0 and rows[1] == 1
+
+
+# Moduli sets every table is checked on against brute force: single moduli,
+# a repeated modulus, a non-coprime pair, coprime pairs, a triple, and a set
+# whose moduli all exceed the weight bound (every partition is a core).
+ORACLE_SETS = [(1,), (2,), (3,), (5,), (7,), (3, 3), (4, 6), (2, 3), (3, 4), (4, 5, 6)]
+ORDINARY_MAX, SC_MAX = 24, 40
+
+
+class TestSearchAgainstBruteForce:
+    @pytest.mark.parametrize("ts", ORACLE_SETS + [(25, 31)], ids=str)
+    def test_sim_core_count_table(self, ts):
+        assert sim_core_count_table(ts, ORDINARY_MAX).rows == cores_by_brute_force(ts, ORDINARY_MAX)
+
+    def test_core_count_table_and_tables(self):
+        singles = sorted({t for ts in ORACLE_SETS for t in ts} | {25})
+        tables = core_count_tables(singles, ORDINARY_MAX)
+        for t in singles:
+            expected = cores_by_brute_force((t,), ORDINARY_MAX)
+            assert core_count_table(t, ORDINARY_MAX).rows == expected
+            assert tables[t].rows == expected
+
+    def test_one_search_serves_every_set(self):
+        sets = ORACLE_SETS + [(25, 31)]
+        assert tabulate(add_row, sets, ORDINARY_MAX) == [
+            cores_by_brute_force(ts, ORDINARY_MAX) for ts in sets
+        ]
+        assert tabulate(add_hook, sets, SC_MAX) == [
+            sc_cores_by_brute_force(ts, SC_MAX) for ts in sets
+        ]
+
+    @pytest.mark.parametrize("ts", ORACLE_SETS + [(41, 43)], ids=str)
+    def test_sc_sim_core_count_table(self, ts):
+        assert sc_sim_core_count_table(ts, SC_MAX).rows == sc_cores_by_brute_force(ts, SC_MAX)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6, 7, 10, 41])
+    def test_sc_core_count_table(self, t):
+        assert sc_core_count_table(t, SC_MAX).rows == sc_cores_by_brute_force((t,), SC_MAX)
+
+    @pytest.mark.parametrize(
+        "ts", [tuple(2 * t for t in ts) for ts in ORACLE_SETS] + [(42,)], ids=str
+    )
+    def test_count_sc_sim_core_m(self, ts):
+        for m in range(4):
+            got = count_sc_sim_core_m(ts, m, SC_MAX).rows
+            assert got == sc_cores_by_brute_force(ts, SC_MAX, m=m), m
+
+    @pytest.mark.parametrize("t", [3, 5])
+    def test_core_table_matches_product_at_order_200(self, t):
+        assert list(core_count_table(t, 200).rows) == list(core_product_series(t, 200).coeffs)
 
 
 def sim_cores(ts, max_n):
