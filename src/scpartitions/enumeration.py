@@ -2,22 +2,24 @@
 
 Generation order is part of the contract: partitions of n stream in
 reverse lexicographic order, self-conjugate partitions in decreasing
-lexicographic order of their diagonal hook tuples. The core tables are an
-exhaustive depth-first search over cores alone (tabulate, growing a
-partition one first row or one principal hook at a time), so their cost
-follows the number of cores, not of partitions. Brute force (every
-partition of n, then the core test) survives as the tests' oracle.
+lexicographic order of their diagonal hook tuples. A core table is one
+exhaustive depth-first search over the cores of one moduli set (tabulate,
+growing a partition one first row or one principal hook at a time), keyed
+by class for the class-m tables, so its cost follows the number of cores,
+not of partitions. Brute force (every partition of n, then the core test)
+survives as the tests' oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .bijection import _class_index, classify
-from .partitions import Partition, _beta_core, beta_from_diagonal, check_moduli, sc_from_diagonal
+from .partitions import Partition, check_moduli, sc_from_diagonal
 
 __all__ = [
     "CountTable",
@@ -29,6 +31,7 @@ __all__ = [
     "tabulate",
     "add_row",
     "add_hook",
+    "bead_class",
     "sufficient_core_bound",
     "count_sc_sim_core_m",
     "anderson_count",
@@ -38,7 +41,6 @@ __all__ = [
     "partition_count_table",
     "sc_count_table",
     "core_count_table",
-    "core_count_tables",
     "sc_core_count_table",
     "sc_sim_core_count_table",
     "sim_core_count_table",
@@ -56,9 +58,6 @@ class CountTable:
     @property
     def max_n(self) -> int:
         return len(self.rows) - 1
-
-    def total(self) -> int:
-        return sum(self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,81 +169,89 @@ def count_sc_m(n: int, m: int) -> int:
 
 
 def tabulate(
-    grow: Callable[[tuple, int, list], Iterable[tuple]],
-    core_sets: Iterable[Iterable[int]],
+    grow: Callable[[tuple, int, tuple], Iterable[tuple]],
+    moduli: Iterable[int],
     max_n: int,
-    counted: Callable[[tuple], bool] | None = None,
-) -> list[tuple[int, ...]]:
-    """Per-weight core counts by a depth-first search that holds only cores.
+    key: Callable[[tuple], object] | None = None,
+) -> dict:
+    """Per-weight counts of the moduli-cores, by a depth-first search over cores.
 
-    The search starts from the empty partition, node (). grow(node, room,
-    alive) yields the children of a node weighing at most room more, as
-    (child, gain, kept), where kept lists the (row, moduli) pairs of alive
-    for which the child is still a core; only a child with a nonempty kept
-    is searched. A partition is the child of its reduction (itself less the
-    outer layer grow adds), and the reduction of a core is a core (see
-    add_row, add_hook), so each core is reached once. Recursion is as deep
-    as the partition has rows or diagonal hooks.
+    A node is (top, beads): the first-column hook set of a partition and its
+    largest element, -1 for the empty partition at the root. grow(node, room,
+    moduli) yields, as (child, gain), the children of a core that are cores
+    and weigh at most room more. A partition is the child of its reduction
+    (itself less the outer layer grow adds), and the reduction of a core is
+    a core (see add_row, add_hook), so each core is reached once. Recursion
+    is as deep as the partition has rows or diagonal hooks.
 
-    Row i of the result holds at index n the number of cores of weight n
-    for core_sets[i]; counted, if given, picks the nodes that are counted
-    (never the ones searched).
+    Returns {key(node): row}, where row[n] counts the cores of weight n with
+    that key; key=None puts every core under None. The key sorts the counts
+    and never prunes the search.
     """
     # Moduli ascending, so that moduli[0] is the smallest (see add_row).
-    counters = [([0] * (max_n + 1), tuple(sorted(set(check_moduli(ts))))) for ts in core_sets]
+    moduli = tuple(sorted(set(check_moduli(moduli))))
     _check_nonneg(max_n, "max_n")
+    rows = defaultdict(lambda: [0] * (max_n + 1))
 
-    def visit(node: tuple, weight: int, alive: list) -> None:
-        if counted is None or counted(node):
-            for row, _ in alive:
-                row[weight] += 1
-        for child, gain, kept in grow(node, max_n - weight, alive):
-            visit(child, weight + gain, kept)
+    def visit(node: tuple, weight: int) -> None:
+        rows[None if key is None else key(node)][weight] += 1
+        for child, gain in grow(node, max_n - weight, moduli):
+            visit(child, weight + gain)
 
-    if counters:
-        visit((), 0, counters)
-    return [tuple(row) for row, _ in counters]
+    visit((-1, frozenset()), 0)
+    return {k: tuple(row) for k, row in rows.items()}
 
 
-def add_row(beta: tuple, room: int, alive: list) -> Iterator[tuple]:
-    """Growth by a new first row: the node is the first-column hook set.
+def add_row(node: tuple, room: int, moduli: tuple) -> Iterator[tuple]:
+    """Growth by a new first row, for ordinary partitions.
 
     Deleting the first row of a partition leaves the hook of every cell in
     rows 2, 3, ... unchanged, so the reduction of a t-core is a t-core. A
-    new first row a >= the old one keeps the hooks beta (decreasing) and
-    adds b = a + len(beta) above them; by the abacus criterion the child is
-    a t-core iff b < t or b - t is in beta, and either forces
-    b <= beta[0] + t (beta[0] = -1 when empty).
+    new first row a >= the old one keeps the beads and adds b = a +
+    len(beads) above them; by the abacus criterion the child is a t-core
+    iff b < t or b - t is a bead, and either forces b <= top + t. A child
+    is tested in O(number of moduli).
     """
-    ell = len(beta)
-    top = beta[0] if beta else -1
-    reach = max(moduli[0] for _, moduli in alive)
-    for b in range(max(top + 1, 1), min(room + ell, top + reach) + 1):
-        kept = [pair for pair in alive if all(b < t or b - t in beta for t in pair[1])]
-        if kept:
-            yield (b,) + beta, b - ell, kept
+    top, beads = node
+    ell = len(beads)
+    for b in range(max(top + 1, 1), min(room + ell, top + moduli[0]) + 1):
+        if all(b < t or b - t in beads for t in moduli):
+            yield (b, beads | {b}), b - ell
 
 
-def add_hook(deltas: tuple, room: int, alive: list) -> Iterator[tuple]:
-    """Growth by a new principal hook: the node is the diagonal hook set.
+def add_hook(node: tuple, room: int, moduli: tuple) -> Iterator[tuple]:
+    """Growth by a new principal hook, for self-conjugate partitions.
 
     Deleting the principal hook (first row and column) of a self-conjugate
     partition leaves the hook of every cell (i, j) with i, j >= 2
     unchanged, so the reduction of a core is a core. A child adds an odd
-    delta above the hooks deltas (decreasing); its first-column hooks are
-    delta, (delta + top)/2 and smaller ones (beta_from_diagonal), so a
-    t-core child has delta < t or delta - t <= (delta + top)/2, either way
-    delta <= top + 2t (top = -1 when empty). Each child is tested on its
-    whole hook set.
+    delta > top as its largest diagonal hook; its beads are the parent's,
+    padded to a = (delta + 1)/2 (each shifted up by pad = (delta - top)/2,
+    with 0, ..., pad - 1 below), with bead 0 moved to delta. Padding keeps
+    a t-core, so the child is a t-core iff t is not a padded bead and
+    (delta < t or delta - t is a padded bead other than 0). A self-conjugate
+    partition with a beads has x as a bead iff 2a - 1 - x = delta - x is
+    not one, so the second condition implies the first; it forces delta <=
+    top + 2t. A padded bead y is y < pad or y - pad in beads, so a rejected
+    child costs O(number of moduli).
     """
-    top = deltas[0] if deltas else -1
-    reach = 2 * max(moduli[0] for _, moduli in alive)
-    for delta in range(top + 2, min(room, top + reach) + 1, 2):
-        child = (delta,) + deltas
-        beta = set(beta_from_diagonal(child))
-        kept = [pair for pair in alive if _beta_core(beta, pair[1])]
-        if kept:
-            yield child, delta, kept
+    top, beads = node
+    for delta in range(top + 2, min(room, top + 2 * moduli[0]) + 1, 2):
+        pad = (delta - top) // 2
+        if all(delta < t or 0 < delta - t < pad or delta - t - pad in beads for t in moduli):
+            child = frozenset(q + pad for q in beads).union(range(1, pad), (delta,))
+            yield (delta, child), delta
+
+
+def bead_class(node: tuple) -> int:
+    """Class m of the self-conjugate partition at an add_hook node.
+
+    Its diagonal hooks are 2b - top for the beads b > top/2 (see
+    beta_from_diagonal); the class is read from the surplus of hooks 1
+    over hooks 3 mod 4.
+    """
+    top, beads = node
+    return _class_index(sum(1 if (2 * b - top) % 4 == 1 else -1 for b in beads if 2 * b > top))
 
 
 def sufficient_core_bound(ts: Iterable[int]) -> int:
@@ -272,19 +279,15 @@ def count_sc_sim_core_m(ts: Iterable[int], m: int, max_n: int) -> CountTable:
     """Per-weight counts of class-m self-conjugate simultaneous cores.
 
     All moduli must be even; odd entries are rejected. The principal-hook
-    reduction may change the class, so the class (from the surplus of hooks
-    1 over hooks 3 mod 4) filters the counted nodes only.
+    reduction may change the class, so the class keys the counts of one
+    search over all classes (bead_class) and never prunes it.
     """
     moduli = check_moduli(ts)
     for t in moduli:
         if t % 2:
             raise ValueError(f"moduli must all be even, got {t}")
     _check_nonneg(m, "m")
-
-    def of_class(deltas: tuple) -> bool:
-        return _class_index(sum(1 if x % 4 == 1 else -1 for x in deltas)) == m
-
-    (rows,) = tabulate(add_hook, [moduli], max_n, of_class)
+    rows = tabulate(add_hook, moduli, max_n, key=bead_class).get(m, (0,) * (max_n + 1))
     return CountTable("sc-sim", {"ts": list(moduli), "m": m}, rows)
 
 
@@ -355,33 +358,23 @@ def sc_count_table(max_n: int) -> CountTable:
     return CountTable("sc", {}, rows)
 
 
-def core_count_tables(ts: Iterable[int], max_n: int) -> dict:
-    """t-core count tables for several moduli from a single search."""
-    moduli = tuple(dict.fromkeys(check_moduli(ts)))
-    rows = tabulate(add_row, [(t,) for t in moduli], max_n)
-    return {t: CountTable("core", {"t": t}, row) for t, row in zip(moduli, rows)}
-
-
 def core_count_table(t: int, max_n: int) -> CountTable:
     """Table of t-core partition counts for n in [0, max_n]."""
-    return core_count_tables((t,), max_n)[t]
+    return CountTable("core", {"t": t}, tabulate(add_row, (t,), max_n)[None])
 
 
 def sc_sim_core_count_table(ts: Iterable[int], max_n: int) -> CountTable:
     """Self-conjugate simultaneous-core counts (all classes together)."""
     moduli = check_moduli(ts)
-    (rows,) = tabulate(add_hook, [moduli], max_n)
-    return CountTable("sc-sim-all", {"ts": list(moduli)}, rows)
+    return CountTable("sc-sim-all", {"ts": list(moduli)}, tabulate(add_hook, moduli, max_n)[None])
 
 
 def sc_core_count_table(t: int, max_n: int) -> CountTable:
     """Self-conjugate t-core counts for n in [0, max_n]."""
-    (rows,) = tabulate(add_hook, [(t,)], max_n)
-    return CountTable("sc-core", {"t": t}, rows)
+    return CountTable("sc-core", {"t": t}, tabulate(add_hook, (t,), max_n)[None])
 
 
 def sim_core_count_table(ts: Iterable[int], max_n: int) -> CountTable:
     """Simultaneous-core counts for n in [0, max_n]."""
     moduli = check_moduli(ts)
-    (rows,) = tabulate(add_row, [moduli], max_n)
-    return CountTable("sim", {"ts": list(moduli)}, rows)
+    return CountTable("sim", {"ts": list(moduli)}, tabulate(add_row, moduli, max_n)[None])

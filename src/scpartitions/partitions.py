@@ -187,10 +187,6 @@ class Partition:
                 total += 1 if (row + conj[j] - i - j) % 2 else -1
         return total
 
-    def is_t_core(self, t: int) -> bool:
-        """True when no hook length is a multiple of t."""
-        return self.is_simultaneous_core((t,))
-
     def is_simultaneous_core(self, ts: Iterable[int]) -> bool:
         """True when the partition is a t-core for every modulus in ts."""
         return _beta_core(set(self.beta_set()), check_moduli(ts))

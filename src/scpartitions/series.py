@@ -69,11 +69,6 @@ class TruncatedSeries:
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
 
-    def coefficient(self, k: int) -> int:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"exponent {k} outside truncation order {self.order}")
-        return self._coeffs[k]
-
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} != {other.order}")

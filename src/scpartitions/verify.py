@@ -281,6 +281,11 @@ def _check_cor45(b: SweepBounds):
 _SIM_PAIRS = ((4, 6), (6, 8))
 
 
+def _class_rows(moduli, max_n: int) -> dict:
+    """Per-class rows of the self-conjugate moduli-cores, from one search."""
+    return enumeration.tabulate(enumeration.add_hook, moduli, max_n, key=enumeration.bead_class)
+
+
 def _check_prop46(b: SweepBounds):
     max_class = min(b.max_class, 3)
     params = {"pairs": [list(p) for p in _SIM_PAIRS], "max_class": max_class, "max_weight": b.max_weight}
@@ -296,9 +301,9 @@ def _check_prop46(b: SweepBounds):
         for moduli in _SIM_PAIRS:
             halves = [t // 2 for t in moduli]
             ordinary = enumeration.sim_core_count_table(halves, b.max_weight // 4).rows
+            by_class = _class_rows(moduli, b.max_weight)
             for m in range(max_class + 1):
-                table = enumeration.count_sc_sim_core_m(moduli, m, b.max_weight)
-                for n, count in enumerate(table.rows):
+                for n, count in enumerate(by_class.get(m, (0,) * (b.max_weight + 1))):
                     yield moduli, m, n, count, ordinary
 
     return _first_counterexample(params, (counts(), law))
@@ -308,22 +313,25 @@ def _check_cor48(b: SweepBounds):
     max_class = min(b.max_class, 3)
 
     def law(case):
-        ts, m, expected = case
-        bound = 4 * enumeration.sufficient_core_bound([t // 2 for t in ts]) + _triangular(m)
-        total = enumeration.count_sc_sim_core_m(ts, m, bound).total()
+        ts, m, total, expected = case
         if total != expected:
             return {"ts": list(ts), "m": m, "total": total, "expected": expected}
 
-    cases = (
-        (ts, m, closed_form(n))
-        for n in range(1, 5)
-        for m in range(max_class + 1)
-        for ts, closed_form in (
-            ((2 * n, 2 * n + 2), enumeration.catalan),
-            ((2 * n, 2 * n + 2, 2 * n + 4), enumeration.motzkin),
-        )
-    )
-    return _first_counterexample({"n_range": [1, 4], "max_class": max_class}, (cases, law))
+    def cases():
+        # One search per set reaches 4 * bound + m(m+1)/2, the limit of every
+        # class m <= max_class; each class is summed to its own limit.
+        for n in range(1, 5):
+            for ts, closed_form in (
+                ((2 * n, 2 * n + 2), enumeration.catalan),
+                ((2 * n, 2 * n + 2, 2 * n + 4), enumeration.motzkin),
+            ):
+                bound = 4 * enumeration.sufficient_core_bound([t // 2 for t in ts])
+                by_class = _class_rows(ts, bound + _triangular(max_class))
+                for m in range(max_class + 1):
+                    total = sum(by_class.get(m, ())[: bound + _triangular(m) + 1])
+                    yield ts, m, total, closed_form(n)
+
+    return _first_counterexample({"n_range": [1, 4], "max_class": max_class}, (cases(), law))
 
 
 def _series_rows(params: dict, order: int, rows, lhs_key: str = "enumerated"):
@@ -362,7 +370,7 @@ _CORE_GF_MODULI = (2, 3, 5)
 
 
 def _check_eq11(b: SweepBounds):
-    tables = enumeration.core_count_tables(_CORE_GF_MODULI, b.order)
+    tables = {t: enumeration.core_count_table(t, b.order) for t in _CORE_GF_MODULI}
     rows = (
         _counted({"t": t}, tables[t], series.core_product_series(t, b.order), b.order)
         for t in _CORE_GF_MODULI

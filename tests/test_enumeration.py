@@ -7,9 +7,10 @@ from scpartitions import (
     add_hook,
     add_row,
     anderson_count,
+    bead_class,
     catalan,
+    classify,
     core_count_table,
-    core_count_tables,
     core_product_series,
     count_sc_m,
     count_sc_sim_core_m,
@@ -142,12 +143,9 @@ class TestCoreCounts:
 
     def test_table_matches_pointwise(self):
         table = core_count_table(3, 12)
-        assert list(table.rows) == [sum(1 for p in partitions_of(n) if p.is_t_core(3)) for n in range(13)]
-
-    def test_multi_sweep_matches_single(self):
-        tables = core_count_tables((2, 3, 5), 10)
-        for t in (2, 3, 5):
-            assert tables[t].rows == core_count_table(t, 10).rows
+        assert list(table.rows) == [
+            sum(1 for p in partitions_of(n) if p.is_simultaneous_core((3,))) for n in range(13)
+        ]
 
     def test_two_core_counts_are_staircase_indicator(self):
         # 2-cores are exactly the staircases, one per triangular weight
@@ -158,44 +156,48 @@ class TestCoreCounts:
 
 class TestTabulate:
     def test_one_sweep_counts_every_moduli_set(self):
-        rows = tabulate(add_row, [(2,), (3,), (2, 3), (3, 4)], 12)
-        assert rows[0] == core_count_table(2, 12).rows
-        assert rows[1] == core_count_table(3, 12).rows
-        assert rows[2] == sim_core_count_table((2, 3), 12).rows
-        assert rows[3] == sim_core_count_table((3, 4), 12).rows
+        for ts in [(2,), (3,), (2, 3), (3, 4)]:
+            assert tabulate(add_row, ts, 12)[None] == sim_core_count_table(ts, 12).rows
 
     def test_rows_match_brute_force_over_any_stream(self):
-        rows = tabulate(add_hook, [(4,), (4, 6)], 16)
+        rows = {ts: tabulate(add_hook, ts, 16)[None] for ts in [(4,), (4, 6)]}
         for n in range(17):
             scs = list(self_conjugate_of(n))
-            assert rows[0][n] == sum(1 for sc in scs if sc.is_t_core(4))
-            assert rows[1][n] == sum(1 for sc in scs if sc.is_simultaneous_core((4, 6)))
-        assert rows[1] == sc_sim_core_count_table((4, 6), 16).rows
+            assert rows[(4,)][n] == sum(1 for sc in scs if sc.is_simultaneous_core((4,)))
+            assert rows[(4, 6)][n] == sum(1 for sc in scs if sc.is_simultaneous_core((4, 6)))
+        assert rows[(4, 6)] == sc_sim_core_count_table((4, 6), 16).rows
 
     def test_rows_are_tuples_indexed_by_weight(self):
-        assert tabulate(add_row, [(5,)], 4) == [(1, 1, 2, 3, 5)]
+        assert tabulate(add_row, (5,), 4) == {None: (1, 1, 2, 3, 5)}
         table = core_count_table(5, 4)
         assert table.rows == (1, 1, 2, 3, 5)
         assert table.max_n == 4
 
-    @pytest.mark.parametrize("core_sets", [[()], [(3,), (2, 0)], [(-1,)]])
+    @pytest.mark.parametrize("core_sets", [(), (3, 0), (-1,)])
     def test_bad_moduli_rejected(self, core_sets):
         with pytest.raises(ValueError, match="modul"):
             tabulate(add_row, core_sets, 3)
 
     def test_negative_max_n_rejected(self):
         with pytest.raises(ValueError, match="max_n"):
-            tabulate(add_row, [(2,)], -1)
+            tabulate(add_row, (2,), -1)
 
-    def test_counted_filters_counts_not_the_search(self):
-        # The root, the empty partition, is class 0: a filter that also pruned
-        # would end the search there and count no class-1 core at all.
-        def of_class_1(deltas):
-            return sum(1 if x % 4 == 1 else -1 for x in deltas) == 1
+    def test_key_splits_counts_not_the_search(self):
+        # The principal-hook reduction can change the class (the root, the
+        # empty partition, is class 0), so a key that also pruned would lose
+        # cores of every class but 0. The key here rebuilds the partition
+        # from its beads and classifies it.
+        def of_node(node):
+            beads = sorted(node[1], reverse=True)
+            ell = len(beads)
+            return classify(Partition([b - (ell - i) for i, b in enumerate(beads, start=1)]))
 
-        (rows,) = tabulate(add_hook, [(41,)], 40, of_class_1)
-        assert rows == sc_cores_by_brute_force((41,), 40, m=1)
-        assert rows[0] == 0 and rows[1] == 1
+        rows = tabulate(add_hook, (41,), 40, key=of_node)
+        assert rows == tabulate(add_hook, (41,), 40, key=bead_class)
+        assert set(rows) == {0, 1, 2, 3, 4, 5, 6, 7, 8}
+        for m, row in rows.items():
+            assert row == sc_cores_by_brute_force((41,), 40, m=m), m
+        assert tuple(map(sum, zip(*rows.values()))) == sc_count_table(40).rows
 
 
 # Moduli sets every table is checked on against brute force: single moduli,
@@ -212,20 +214,15 @@ class TestSearchAgainstBruteForce:
 
     def test_core_count_table_and_tables(self):
         singles = sorted({t for ts in ORACLE_SETS for t in ts} | {25})
-        tables = core_count_tables(singles, ORDINARY_MAX)
         for t in singles:
             expected = cores_by_brute_force((t,), ORDINARY_MAX)
             assert core_count_table(t, ORDINARY_MAX).rows == expected
-            assert tables[t].rows == expected
+            assert tabulate(add_row, (t,), ORDINARY_MAX) == {None: expected}
 
-    def test_one_search_serves_every_set(self):
-        sets = ORACLE_SETS + [(25, 31)]
-        assert tabulate(add_row, sets, ORDINARY_MAX) == [
-            cores_by_brute_force(ts, ORDINARY_MAX) for ts in sets
-        ]
-        assert tabulate(add_hook, sets, SC_MAX) == [
-            sc_cores_by_brute_force(ts, SC_MAX) for ts in sets
-        ]
+    def test_tabulate_on_every_set(self):
+        for ts in ORACLE_SETS + [(25, 31)]:
+            assert tabulate(add_row, ts, ORDINARY_MAX) == {None: cores_by_brute_force(ts, ORDINARY_MAX)}
+            assert tabulate(add_hook, ts, SC_MAX) == {None: sc_cores_by_brute_force(ts, SC_MAX)}
 
     @pytest.mark.parametrize("ts", ORACLE_SETS + [(41, 43)], ids=str)
     def test_sc_sim_core_count_table(self, ts):
@@ -261,15 +258,15 @@ def sim_cores(ts, max_n):
 class TestSimultaneousCores:
     def test_pair_23(self):
         assert sim_cores((2, 3), 10) == [(), (1,)]
-        assert sim_core_count_table((2, 3), 10).total() == 2
+        assert sum(sim_core_count_table((2, 3), 10).rows) == 2
 
     def test_pair_34(self):
         got = sim_cores((3, 4), 5)
         assert got == [(), (1,), (2,), (1, 1), (3, 1, 1)]
-        assert sim_core_count_table((3, 4), 5).total() == len(got)
+        assert sum(sim_core_count_table((3, 4), 5).rows) == len(got)
 
     def test_triple_345(self):
-        assert sim_core_count_table((3, 4, 5), 6).total() == 4
+        assert sum(sim_core_count_table((3, 4, 5), 6).rows) == 4
         assert len(sim_cores((3, 4, 5), 6)) == 4
 
     def test_bounds(self):
@@ -301,7 +298,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("pair", [(2, 3), (3, 4), (3, 5)])
     def test_anderson_matches_enumeration(self, pair):
         bound = sufficient_core_bound(pair)
-        assert sim_core_count_table(pair, bound).total() == anderson_count(*pair)
+        assert sum(sim_core_count_table(pair, bound).rows) == anderson_count(*pair)
 
     def test_wang_examples(self):
         assert wang_count(3, 1) == 4 == motzkin(3)
@@ -317,7 +314,7 @@ class TestClosedForms:
         for n in (1, 2, 3):
             ts = (n, n + 1, n + 2)
             bound = sufficient_core_bound(ts)
-            assert sim_core_count_table(ts, bound).total() == wang_count(n, 1)
+            assert sum(sim_core_count_table(ts, bound).rows) == wang_count(n, 1)
 
     def test_catalan_against_recurrence(self):
         assert [catalan(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]
@@ -333,7 +330,7 @@ class TestClosedForms:
 class TestScSimCoreClassCounts:
     def test_total_is_catalan_two(self):
         table = count_sc_sim_core_m((4, 6), 0, 4 * sufficient_core_bound((2, 3)))
-        assert table.total() == 2
+        assert sum(table.rows) == 2
 
     def test_zero_off_congruence(self):
         table = count_sc_sim_core_m((4, 6), 1, 20)
@@ -344,13 +341,13 @@ class TestScSimCoreClassCounts:
     def test_total_is_catalan_three(self):
         bound = 4 * sufficient_core_bound((3, 4))
         table = count_sc_sim_core_m((6, 8), 0, bound)
-        assert table.total() == 5
+        assert sum(table.rows) == 5
 
     def test_class_independence(self):
         # each class carries the same total, shifted by its triangular number
         for m in (0, 1, 2, 3):
             bound = 4 * sufficient_core_bound((2, 3)) + m * (m + 1) // 2
-            assert count_sc_sim_core_m((4, 6), m, bound).total() == 2
+            assert sum(count_sc_sim_core_m((4, 6), m, bound).rows) == 2
 
     def test_odd_moduli_rejected(self):
         with pytest.raises(ValueError, match="even"):

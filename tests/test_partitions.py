@@ -232,13 +232,13 @@ class TestDisparity:
 
 class TestCores:
     def test_examples(self):
-        assert Partition([2]).is_t_core(3)
-        assert not Partition([4, 4, 4, 3]).is_t_core(7)
-        assert Partition().is_t_core(5)
+        assert Partition([2]).is_simultaneous_core((3,))
+        assert not Partition([4, 4, 4, 3]).is_simultaneous_core((7,))
+        assert Partition().is_simultaneous_core((5,))
 
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
-            Partition([1]).is_t_core(0)
+            Partition([1]).is_simultaneous_core((0,))
         with pytest.raises(ValueError):
             Partition([1]).is_simultaneous_core([])
 
@@ -262,9 +262,9 @@ class TestCores:
         assert Partition().is_simultaneous_core([5, 7])
 
     def test_one_core_is_only_empty(self):
-        assert Partition().is_t_core(1)
+        assert Partition().is_simultaneous_core((1,))
         for n in range(1, 8):
-            assert not any(p.is_t_core(1) for p in partitions_of(n))
+            assert not any(p.is_simultaneous_core((1,)) for p in partitions_of(n))
 
     def test_against_hook_divisibility_up_to_28(self):
         # The fast first-column test must match the definition verbatim.
@@ -273,7 +273,7 @@ class TestCores:
                 hooks = p.hook_multiset()
                 for t in range(1, 9):
                     brute = not any(h % t == 0 for h in hooks)
-                    assert p.is_t_core(t) == brute
+                    assert p.is_simultaneous_core((t,)) == brute
                 assert p.is_simultaneous_core([2, 3]) == (
-                    p.is_t_core(2) and p.is_t_core(3)
+                    p.is_simultaneous_core((2,)) and p.is_simultaneous_core((3,))
                 )

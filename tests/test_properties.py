@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 from scpartitions import (
     Partition,
     TruncatedSeries,
+    add_hook,
+    beta_from_diagonal,
     delete_principal_hook,
     phi,
     psi,
     sc_from_diagonal,
     self_conjugate_of,
 )
+from scpartitions.partitions import _beta_core
 
 from oracles import hooks_by_cells
 
@@ -95,7 +98,7 @@ def abacus_cores(draw):
 def test_first_row_deletion_keeps_a_core(case):
     t, p = case
     assert all(h % t for h in hooks_by_cells(p.parts))
-    assert Partition(p.parts[1:]).is_t_core(t)
+    assert Partition(p.parts[1:]).is_simultaneous_core((t,))
 
 
 @given(partitions)
@@ -111,14 +114,14 @@ SC_CORES = [
     for t in range(2, 9)
     for n in range(1, 41)
     for sc in self_conjugate_of(n)
-    if sc.is_t_core(t)
+    if sc.is_simultaneous_core((t,))
 ]
 
 
 @given(st.sampled_from(SC_CORES))
 def test_principal_hook_deletion_keeps_a_core(case):
     t, sc = case
-    assert delete_principal_hook(sc).is_t_core(t)
+    assert delete_principal_hook(sc).is_simultaneous_core((t,))
 
 
 @given(odd_sets.filter(bool))
@@ -128,3 +131,26 @@ def test_principal_hook_deletion_keeps_inner_hooks(deltas):
     for i in range(2, len(sc) + 1):
         for j in range(2, sc[i - 1] + 1):
             assert inner.hook_length(i - 1, j - 1) == sc.hook_length(i, j)
+
+
+@st.composite
+def hook_nodes(draw):
+    """(diagonal hooks, their add_hook node, ascending moduli the partition is a core for)."""
+    deltas = draw(odd_sets)
+    beads = frozenset(beta_from_diagonal(deltas))
+    cores_for = [t for t in range(1, 45) if _beta_core(beads, (t,))]
+    moduli = draw(st.lists(st.sampled_from(cores_for), min_size=1, max_size=3))
+    return deltas, (deltas[0] if deltas else -1, beads), tuple(sorted(set(moduli)))
+
+
+@given(hook_nodes(), st.integers(0, 60))
+def test_add_hook_yields_exactly_the_core_children(case, room):
+    # Each child is checked on its whole first-column hook set, rebuilt
+    # from its diagonal hooks, against the padded-bead test add_hook makes.
+    deltas, node, moduli = case
+    expected = []
+    for delta in range(node[0] + 2, room + 1, 2):
+        beads = frozenset(beta_from_diagonal((delta,) + deltas))
+        if _beta_core(beads, moduli):
+            expected.append(((delta, beads), delta))
+    assert list(add_hook(node, room, moduli)) == expected

@@ -140,7 +140,7 @@ class TestTriangular:
         assert triangular_series(0).coeffs == (1,)
 
     def test_coefficient_at_ten(self):
-        assert triangular_series(10).coefficient(10) == 1
+        assert triangular_series(10).coeffs[10] == 1
 
 
 class TestSeriesFromCounts:
@@ -170,7 +170,7 @@ class TestProductForms:
     def test_core_gf_pointwise(self):
         prod = core_product_series(4, 12)
         for n in range(13):
-            assert prod.coefficient(n) == sum(1 for p in partitions_of(n) if p.is_t_core(4))
+            assert prod.coeffs[n] == sum(1 for p in partitions_of(n) if p.is_simultaneous_core((4,)))
 
     def test_sc_even_core_gf_matches_enumeration(self):
         for t in (1, 2, 3):

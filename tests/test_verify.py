@@ -93,9 +93,29 @@ def test_failure_payload_revalidates():
     }
     # replay from the payload alone
     k = payload["exponent"]
-    assert good.coefficient(k) == payload["enumerated"]
-    assert bad.coefficient(k) == payload["product"]
+    assert good.coeffs[k] == payload["enumerated"]
+    assert bad.coeffs[k] == payload["product"]
     assert payload["enumerated"] != payload["product"]
+
+
+@pytest.mark.parametrize(
+    "theorem, searches",
+    [("cor4.8", {"add_hook": 8}), ("prop4.6", {"add_hook": 2, "add_row": 2})],
+)
+def test_one_search_per_moduli_set(monkeypatch, theorem, searches):
+    # At the default bounds every class of a moduli set comes from one
+    # search: cor4.8 has 4 pairs and 4 triples, prop4.6 two pairs and the
+    # ordinary cores of their halves.
+    calls = Counter()
+    tabulate = verify.enumeration.tabulate
+
+    def counted(grow, *args, **kwargs):
+        calls[grow.__name__] += 1
+        return tabulate(grow, *args, **kwargs)
+
+    monkeypatch.setattr(verify.enumeration, "tabulate", counted)
+    assert verify.run_check(theorem).passed
+    assert calls == searches
 
 
 def _bump(fn, exponent):
