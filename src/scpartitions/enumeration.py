@@ -6,8 +6,10 @@ lexicographic order of their diagonal hook tuples. A core table is one
 exhaustive depth-first search over the cores of one moduli set (tabulate,
 growing a partition one first row or one principal hook at a time), keyed
 by class for the class-m tables, so its cost follows the number of cores,
-not of partitions. Brute force (every partition of n, then the core test)
-survives as the tests' oracle.
+not of partitions. Every partition of weight <= N is an (N + 1)-core, so
+that search also counts the self-conjugate partitions of each class; their
+totals are a knapsack over odd diagonal hooks. Brute force (every partition
+of n, then the core test) survives as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .bijection import _class_index, classify
+from .bijection import _class_index
 from .partitions import Partition, check_moduli, sc_from_diagonal
 
 __all__ = [
@@ -27,7 +29,6 @@ __all__ = [
     "partition_count",
     "distinct_odd_decompositions",
     "self_conjugate_of",
-    "count_sc_m",
     "tabulate",
     "add_row",
     "add_hook",
@@ -159,13 +160,6 @@ def self_conjugate_of(n: int) -> Iterator[Partition]:
     """All self-conjugate partitions of n, via distinct-odd decompositions."""
     for deltas in distinct_odd_decompositions(n):
         yield sc_from_diagonal(deltas)
-
-
-def count_sc_m(n: int, m: int) -> int:
-    """Number of self-conjugate partitions of n in class m, by enumeration."""
-    _check_nonneg(n)
-    _check_nonneg(m, "m")
-    return sum(1 for sc in self_conjugate_of(n) if classify(sc) == m)
 
 
 def tabulate(
@@ -350,12 +344,13 @@ def partition_count_table(max_n: int) -> CountTable:
 
 
 def sc_count_table(max_n: int) -> CountTable:
-    """Table of self-conjugate partition counts for n in [0, max_n]."""
+    """Self-conjugate partition counts (distinct odd diagonal hook sets) for n in [0, max_n]."""
     _check_nonneg(max_n, "max_n")
-    rows = tuple(
-        sum(1 for _ in distinct_odd_decompositions(n)) for n in range(max_n + 1)
-    )
-    return CountTable("sc", {}, rows)
+    rows = [1] + [0] * max_n
+    for h in range(1, max_n + 1, 2):
+        # A 0/1-knapsack pass reads the row from before it: each set takes h at most once.
+        rows[h:] = [a + b for a, b in zip(rows[h:], rows)]
+    return CountTable("sc", {}, tuple(rows))
 
 
 def core_count_table(t: int, max_n: int) -> CountTable:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .enumeration import CountTable
+from .partitions import check_moduli
 
 __all__ = [
     "TruncatedSeries",
@@ -180,8 +181,7 @@ def core_product_series(t: int, order: int) -> TruncatedSeries:
     Expands prod over n >= 1 of (1 - q^(nt))^t / (1 - q^n) to the given
     order; its coefficient at q^n is the number of t-core partitions of n.
     """
-    if t < 1:
-        raise ValueError(f"modulus must be a positive integer, got {t}")
+    check_moduli((t,))
     out = TruncatedSeries.one(order)
     for n in range(1, order + 1):
         out = out.times_geometric(n)
@@ -197,8 +197,7 @@ def sc_even_core_product_series(t: int, order: int) -> TruncatedSeries:
     Expands prod over n >= 1 of (1 - q^(4nt))^t (1 + q^(2n-1)); its
     coefficient at q^n counts self-conjugate 2t-core partitions of n.
     """
-    if t < 1:
-        raise ValueError(f"modulus must be a positive integer, got {t}")
+    check_moduli((t,))
     out = TruncatedSeries.one(order)
     for n in range(1, order // (4 * t) + 1):
         for _ in range(t):

@@ -155,10 +155,13 @@ def _check_thm31(b: SweepBounds):
 def _check_prop34(b: SweepBounds):
     params = {"max_k": 8, "max_class": b.max_class, "max_weight": b.max_weight}
     classes = range(b.max_class + 1)
+    # Each partition of weight <= top is a (top + 1)-core: one search counts every class.
+    top = max(b.max_weight, 32 + _triangular(b.max_class))
+    by_class = _class_rows((top + 1,), top)
 
     def law(case):
         n, m, expected = case
-        got = enumeration.count_sc_m(n, m)
+        got = by_class[m][n]
         if got != expected:
             return {"n": n, "m": m, "count": got, "expected": expected}
 

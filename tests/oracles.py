@@ -10,7 +10,7 @@ they share nothing with the library's search over cores.
 
 from functools import lru_cache
 
-from scpartitions import classify, partitions_of, self_conjugate_of
+from scpartitions import classify, distinct_odd_decompositions, partitions_of, self_conjugate_of
 
 
 def cells(parts):
@@ -93,6 +93,11 @@ def sc_cores_by_brute_force(ts, max_n, m=None):
         )
         for weight in _self_conjugate_upto(max_n)
     )
+
+
+def sc_counts_by_decomposition(max_n):
+    """Per-weight count of self-conjugate partitions: walk every distinct-odd decomposition."""
+    return tuple(sum(1 for _ in distinct_odd_decompositions(n)) for n in range(max_n + 1))
 
 
 def dense_product(a, b, order):

@@ -9,13 +9,14 @@ from contextlib import contextmanager
 
 from scpartitions import (
     Partition,
+    add_hook,
     anderson_count,
+    bead_class,
     catalan,
     check_identity,
     classify,
     cli,
     core_count_table,
-    count_sc_m,
     motzkin,
     partition_count,
     partition_count_table,
@@ -31,6 +32,7 @@ from scpartitions import (
     series_from_counts,
     sim_core_count_table,
     sufficient_core_bound,
+    tabulate,
     core_product_series,
     gauss_product_series,
     triangular_series,
@@ -118,16 +120,18 @@ def test_05_even_hook_doubling():
 
 def test_06_class_counts_reduce_to_partition_counts():
     with criterion("6 class counts"):
+        # Every partition of weight <= 53 = 4 * 8 + 6 * 7 / 2 is a 54-core.
+        rows = tabulate(add_hook, (54,), 53, key=bead_class)
         for m in range(7):
             tri = m * (m + 1) // 2
             for k in range(9):
-                assert count_sc_m(4 * k + tri, m) == partition_count(k)
+                assert rows[m][4 * k + tri] == partition_count(k)
         for m in range(7):
             tri = m * (m + 1) // 2
             for n in range(41):
                 if n >= tri and (n - tri) % 4 == 0:
                     continue
-                assert count_sc_m(n, m) == 0
+                assert rows[m][n] == 0
 
 
 def test_07_pair_core_counts_and_catalan():

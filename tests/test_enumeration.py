@@ -12,7 +12,6 @@ from scpartitions import (
     classify,
     core_count_table,
     core_product_series,
-    count_sc_m,
     count_sc_sim_core_m,
     distinct_odd_decompositions,
     motzkin,
@@ -21,6 +20,7 @@ from scpartitions import (
     partitions_of,
     sc_core_count_table,
     sc_count_table,
+    sc_even_core_product_series,
     sc_sim_core_count_table,
     self_conjugate_of,
     sim_core_count_table,
@@ -34,6 +34,7 @@ from oracles import (
     cores_by_brute_force,
     motzkin_by_recurrence,
     partitions_brute,
+    sc_counts_by_decomposition,
     sc_cores_by_brute_force,
 )
 
@@ -108,31 +109,42 @@ class TestSelfConjugateOf:
                 assert list(d) == sorted(set(d), reverse=True)
 
 
+def sc_class_rows(max_n):
+    """Self-conjugate counts by class, as prop3.4 reads them: every partition
+    of weight <= max_n is a (max_n + 1)-core."""
+    rows = tabulate(add_hook, (max_n + 1,), max_n, key=bead_class)
+    return lambda n, m: rows.get(m, (0,) * (max_n + 1))[n]
+
+
 class TestClassCounts:
     def test_examples(self):
-        assert count_sc_m(15, 2) == 3 == partition_count(3)
-        assert count_sc_m(5, 1) == 1
-        assert count_sc_m(2, 0) == 0
+        count = sc_class_rows(15)
+        assert count(15, 2) == 3 == partition_count(3)
+        assert count(5, 1) == 1
+        assert count(2, 0) == 0
 
     def test_closed_form_small(self):
+        count = sc_class_rows(30)
         for m in range(5):
             tri = m * (m + 1) // 2
             for k in range(6):
-                assert count_sc_m(4 * k + tri, m) == partition_count(k)
+                assert count(4 * k + tri, m) == partition_count(k)
 
     def test_zero_off_congruence_class(self):
+        count = sc_class_rows(30)
         for m in range(5):
             tri = m * (m + 1) // 2
             for n in range(31):
                 if n >= tri and (n - tri) % 4 == 0:
                     continue
-                assert count_sc_m(n, m) == 0
+                assert count(n, m) == 0
 
     def test_classes_partition_sc(self):
+        count = sc_class_rows(40)
         for n in range(41):
             total = sum(1 for _ in self_conjugate_of(n))
             # disparity m(m+1)/2 <= n forces m to stay small
-            assert sum(count_sc_m(n, m) for m in range(10)) == total
+            assert sum(count(n, m) for m in range(10)) == total
 
 
 class TestCoreCounts:
@@ -371,3 +383,11 @@ class TestCountTable:
         assert list(table.rows) == [
             sum(1 for _ in self_conjugate_of(n)) for n in range(21)
         ]
+
+    def test_sc_table_matches_decomposition_walk(self):
+        assert sc_count_table(40).rows == sc_counts_by_decomposition(40)
+
+    def test_sc_table_matches_odd_part_product_to_400(self):
+        # With 4t above the order the product has no (1 - q^(4nt)) factor:
+        # it is prod (1 + q^(2k-1)), built factor by factor in the series layer.
+        assert sc_count_table(400).rows == sc_even_core_product_series(101, 400).coeffs

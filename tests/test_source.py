@@ -59,3 +59,27 @@ def test_every_public_name_is_used_by_the_library():
     }
     unused = {name for name in exported | methods if name.rsplit(".", 1)[-1] not in loaded}
     assert unused == PENDING_PUBLIC
+
+
+# The generators that stream partitions one at a time.
+GENERATORS = {"partitions_of", "self_conjugate_of", "distinct_odd_decompositions"}
+
+
+def test_no_count_function_walks_the_generators():
+    # A count in enumeration.py comes from a search over cores, a knapsack or
+    # a recurrence; walking every partition stays in the tests' oracles.
+    path = Path(scpartitions.__file__).parent / "enumeration.py"
+    counters = [
+        fn
+        for fn in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(fn, ast.FunctionDef)
+        and (fn.name.endswith("_table") or fn.name.startswith("count_"))
+    ]
+    assert {"sc_count_table", "count_sc_sim_core_m"} <= {fn.name for fn in counters}
+    walkers = {
+        fn.name
+        for fn in counters
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in GENERATORS
+    }
+    assert walkers == set()

@@ -118,6 +118,12 @@ def test_one_search_per_moduli_set(monkeypatch, theorem, searches):
     assert calls == searches
 
 
+def test_cor12_at_order_400():
+    # The self-conjugate totals come from a knapsack, not a walk, so order
+    # 400 (sc(400) = 343,112,116) is in reach.
+    assert verify.run_check("cor1.2", order=400).passed
+
+
 def _bump(fn, exponent):
     def bumped(*args):
         coeffs = list(fn(*args).coeffs)
@@ -158,8 +164,12 @@ DEFECT_TABLE = [
     ),
     # the second phase counts on from the first: 63 + 9 + 2 cases
     (
-        "prop3.4", (verify.enumeration, "count_sc_m"),
-        lambda fn: lambda n, m: fn(n, m) + (n == 2 and m == 1), dict(max_weight=12),
+        "prop3.4", (verify, "_class_rows"),
+        lambda fn: lambda *args: {
+            m: tuple(c + (n == 2 and m == 1) for n, c in enumerate(row))
+            for m, row in fn(*args).items()
+        },
+        dict(max_weight=12),
         74, {"n": 2, "m": 1, "count": 1, "expected": 0},
     ),
     # 1 self-conjugate case, then 4 images of weight <= 2 and (3) in 7 classes
