@@ -6,15 +6,17 @@ lexicographic order of their diagonal hook tuples. A core table is one
 exhaustive depth-first search over the cores of one moduli set (tabulate,
 growing a partition one first row or one principal hook at a time), keyed
 by class for the class-m tables, so its cost follows the number of cores,
-not of partitions. Every partition of weight <= N is an (N + 1)-core, so
-that search also counts the self-conjugate partitions of each class; their
-totals are a knapsack over odd diagonal hooks. Brute force (every partition
-of n, then the core test) survives as the tests' oracle.
+not of partitions. Self-conjugate partitions are counted without a walk:
+a 0/1 knapsack over odd diagonal hooks gives their totals, and one that
+also tracks the surplus of hooks 1 over 3 mod 4 gives them by class.
+Brute force (every partition of n, then the core test) survives as the
+tests' oracle.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
@@ -41,6 +43,7 @@ __all__ = [
     "motzkin",
     "partition_count_table",
     "sc_count_table",
+    "sc_surplus_table",
     "core_count_table",
     "sc_core_count_table",
     "sc_sim_core_count_table",
@@ -351,6 +354,28 @@ def sc_count_table(max_n: int) -> CountTable:
         # A 0/1-knapsack pass reads the row from before it: each set takes h at most once.
         rows[h:] = [a + b for a, b in zip(rows[h:], rows)]
     return CountTable("sc", {}, tuple(rows))
+
+
+def sc_surplus_table(max_n: int) -> dict[int, tuple[int, ...]]:
+    """Self-conjugate partition counts by weight and diagonal-hook surplus.
+
+    Returns {s: row}, where row[n] counts the sets of distinct odd diagonal
+    hooks of weight n with s more hooks congruent to 1 than to 3 mod 4 (the
+    partition's class is bijection._class_index(s)). Surplus s needs |s|
+    hooks of one residue, of weight at least |s|(2|s| - 1), so |s| <=
+    sqrt(max_n / 2) + 1. A 0/1 knapsack: one O(max_n) pass per odd hook and
+    surplus; rows that stay zero are left out.
+    """
+    _check_nonneg(max_n, "max_n")
+    reach = math.isqrt(max_n // 2) + 1
+    rows = {s: [0] * (max_n + 1) for s in range(-reach, reach + 1)}
+    rows[0][0] = 1
+    for h in range(1, max_n + 1, 2):
+        step = 1 if h % 4 == 1 else -1
+        # Sources in the order that updates each row before it is read: each set takes h once.
+        for s in range(step * (reach - 1), -step * (reach + 1), -step):
+            rows[s + step][h:] = map(operator.add, rows[s + step][h:], rows[s])
+    return {s: tuple(row) for s, row in rows.items() if any(row)}
 
 
 def core_count_table(t: int, max_n: int) -> CountTable:

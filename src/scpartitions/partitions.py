@@ -230,11 +230,11 @@ def sc_from_diagonal(deltas: Iterable[int]) -> Partition:
     d = len(ds)
     head = [(ds[i] - 1) // 2 + i + 1 for i in range(d)]
     parts = list(head)
-    for row in range(d + 1, (head[0] if head else 0) + 1):
-        c = sum(1 for h in head if h >= row)
-        if c == 0:
-            break
-        parts.append(c)
+    # Below the diagonal, rows head[i] + 1 .. head[i - 1] have length i (head[d] = d).
+    below = d
+    for i in range(d, 0, -1):
+        parts.extend([i] * (head[i - 1] - below))
+        below = head[i - 1]
     return Partition._from_parts(tuple(parts))
 
 

@@ -6,14 +6,18 @@ integers, so identity checks can never wrap. Infinite products are cut
 at the first factor whose lowest non-constant exponent exceeds N, which
 leaves every kept coefficient exact. The product builders apply each
 sparse factor, 1/(1 - q^k) or 1 +- q^k, as one O(N) pass over the
-coefficients, so a product of O(N) factors costs O(N^2).
+coefficients, so a product of O(N) factors costs O(N^2). A dense product
+(`*`) is one big-integer multiply by Kronecker substitution, O(N^1.58) in
+C (Karatsuba) for digits of a fixed width; packing the coefficients into
+digits and reading them back are O(N) passes at C speed.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, Iterator
 
 from .enumeration import CountTable
 from .partitions import check_moduli
@@ -89,20 +93,28 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self._coeffs, other._coeffs)], self.order
-        )
+        return TruncatedSeries._from_coeffs(map(operator.add, self._coeffs, other._coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Exact truncated product, by Kronecker substitution.
+
+        Each series is read as an integer at q = 256^size and the two are
+        multiplied once; the low order + 1 base-q digits are the product's
+        coefficients. A coefficient of the product is a sum of at most
+        order + 1 terms a_i * b_j, so with half = 2^(8 size - 1) above that
+        bound and above every input coefficient, digits biased by half are
+        nonnegative and below q: no digit carries into the next.
+        """
         self._check_order(other)
-        n = self.order
-        out = [0] * (n + 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs[: n + 1 - i]):
-                    if b:
-                        out[i + j] += a * b
-        return TruncatedSeries(out, n)
+        a, b = self._coeffs, other._coeffs
+        n = len(a)
+        top_a, top_b = max(map(abs, a)), max(map(abs, b))
+        size = max(top_a * top_b * n, top_a, top_b).bit_length() // 8 + 1
+        half = 1 << (8 * size - 1)
+        # half * (1 + q + ... + q^order): the bias of every digit at once.
+        biases = half * int.from_bytes(b"\1".ljust(size, b"\0") * n, "little")
+        product = (_pack(a, size, half) - biases) * (_pack(b, size, half) - biases)
+        return TruncatedSeries._from_coeffs(_unpack(product + biases, size, n, half))
 
     def times_geometric(self, period: int) -> "TruncatedSeries":
         """Multiply by 1 + q^period + q^(2*period) + ... (divide by 1 - q^period)."""
@@ -138,6 +150,22 @@ class IdentityCheck:
     first_mismatch: int | None = None
     lhs_coefficient: int | None = None
     rhs_coefficient: int | None = None
+
+
+def _pack(coeffs: tuple[int, ...], size: int, half: int) -> int:
+    """Sum of (c_i + half) * 256^(size * i): each coefficient as one size-byte digit."""
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, map(half.__add__, coeffs), repeat(size), repeat("little"))),
+        "little",
+    )
+
+
+def _unpack(value: int, size: int, count: int, half: int) -> Iterator[int]:
+    """The low `count` size-byte digits of value, each less half."""
+    end = size * count
+    raw = (value & ((1 << (8 * end)) - 1)).to_bytes(end, "little")
+    digits = zip(*[iter(raw)] * size)  # one iterator drawn size times: each digit's bytes
+    return map(half.__rsub__, map(int.from_bytes, digits, repeat("little")))
 
 
 def check_identity(lhs: TruncatedSeries, rhs: TruncatedSeries) -> IdentityCheck:

@@ -155,9 +155,11 @@ def _check_thm31(b: SweepBounds):
 def _check_prop34(b: SweepBounds):
     params = {"max_k": 8, "max_class": b.max_class, "max_weight": b.max_weight}
     classes = range(b.max_class + 1)
-    # Each partition of weight <= top is a (top + 1)-core: one search counts every class.
+    # The cases read weights up to 4 * 8 + T(max_class); each surplus is one class.
     top = max(b.max_weight, 32 + _triangular(b.max_class))
-    by_class = _class_rows((top + 1,), top)
+    by_class = {
+        bijection._class_index(s): row for s, row in enumeration.sc_surplus_table(top).items()
+    }
 
     def law(case):
         n, m, expected = case

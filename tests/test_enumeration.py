@@ -22,12 +22,15 @@ from scpartitions import (
     sc_count_table,
     sc_even_core_product_series,
     sc_sim_core_count_table,
+    sc_surplus_table,
     self_conjugate_of,
     sim_core_count_table,
     sufficient_core_bound,
     tabulate,
     wang_count,
 )
+
+from scpartitions.bijection import _class_index
 
 from oracles import (
     catalan_by_recurrence,
@@ -110,10 +113,34 @@ class TestSelfConjugateOf:
 
 
 def sc_class_rows(max_n):
-    """Self-conjugate counts by class, as prop3.4 reads them: every partition
-    of weight <= max_n is a (max_n + 1)-core."""
-    rows = tabulate(add_hook, (max_n + 1,), max_n, key=bead_class)
+    """Self-conjugate counts by class, as prop3.4 reads them: the surplus
+    knapsack, each surplus read as its class."""
+    rows = {_class_index(s): row for s, row in sc_surplus_table(max_n).items()}
     return lambda n, m: rows.get(m, (0,) * (max_n + 1))[n]
+
+
+class TestSurplusTable:
+    def test_classes_match_the_class_keyed_search(self):
+        # Every partition of weight <= n is an (n + 1)-core, so the search
+        # counts every self-conjugate partition, keyed by class. The small n
+        # step the surplus bound sqrt(n/2) + 1 through its values.
+        for n in (*range(13), 40):
+            table = sc_surplus_table(n)
+            rows = tabulate(add_hook, (n + 1,), n, key=bead_class)
+            assert {_class_index(s): row for s, row in table.items()} == rows, n
+            assert all(any(row) for row in table.values())
+            assert tuple(map(sum, zip(*table.values()))) == sc_count_table(n).rows
+
+    def test_examples(self):
+        assert sc_surplus_table(0) == {0: (1,)}
+        # weight 4: {3, 1} has surplus 0; weight 5: {5} surplus 1
+        assert sc_surplus_table(5) == {
+            0: (1, 0, 0, 0, 1, 0), 1: (0, 1, 0, 0, 0, 1), -1: (0, 0, 0, 1, 0, 0)
+        }
+
+    def test_negative_max_n_rejected(self):
+        with pytest.raises(ValueError, match="max_n"):
+            sc_surplus_table(-1)
 
 
 class TestClassCounts:

@@ -192,6 +192,18 @@ class TestDiagonalHooks:
         with pytest.raises(ValueError, match="positive"):
             sc_from_diagonal([3, -1])
 
+    def test_reconstruction_matches_cell_transpose_up_to_40(self):
+        # Rows below the diagonal are built as runs; check them against
+        # conjugation by cells, and the diagonal round trip.
+        from scpartitions import distinct_odd_decompositions
+
+        for n in range(41):
+            for deltas in distinct_odd_decompositions(n):
+                sc = sc_from_diagonal(deltas)
+                assert sc.parts == transpose_by_cells(sc.parts), deltas
+                assert sc.weight == n
+                assert sc.diagonal_hooks() == deltas
+
     def test_round_trip_up_to_60(self):
         from scpartitions import distinct_odd_decompositions
 

@@ -1,8 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import core_product_dense, gauss_product_dense, sc_even_core_product_dense
+from oracles import (
+    core_product_dense,
+    dense_product,
+    gauss_product_dense,
+    sc_even_core_product_dense,
+)
 from scpartitions import (
     TruncatedSeries,
     check_identity,
@@ -109,6 +116,69 @@ class TestTimesBinomial:
 def test_geometric_undoes_one_minus(coeffs, k):
     s = TruncatedSeries(coeffs)
     assert s.times_binomial(k, -1).times_geometric(k) == s
+
+
+# Small, zero and 200-bit coefficients: the digit width follows the data.
+COEFFICIENTS = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from([0, 2**200, -(2**200)]),
+    st.integers(-(2**200), 2**200),
+)
+
+
+@st.composite
+def operand_pairs(draw):
+    order = draw(st.integers(0, 60))
+    operand = st.one_of(
+        st.just([0] * (order + 1)),
+        st.lists(COEFFICIENTS, min_size=order + 1, max_size=order + 1),
+    )
+    return order, draw(operand), draw(operand)
+
+
+@given(operand_pairs())
+def test_product_matches_schoolbook(case):
+    order, a, b = case
+    assert list((TruncatedSeries(a) * TruncatedSeries(b)).coeffs) == dense_product(a, b, order)
+
+
+class TestKroneckerProduct:
+    def test_order_zero(self):
+        assert (TruncatedSeries([7]) * TruncatedSeries([-6])).coeffs == (-42,)
+        assert (TruncatedSeries([0]) * TruncatedSeries([0])).coeffs == (0,)
+        big = TruncatedSeries([2**200])
+        assert (big * TruncatedSeries([-(2**200)])).coeffs == (-(2**400),)
+
+    def test_zero_times_huge(self):
+        # The product bound is 0 here: the digit width must still hold the
+        # inputs, or packing them overflows.
+        zero = TruncatedSeries([0] * 5)
+        huge = TruncatedSeries([2**300, -(2**300), 1, 0, -(2**64)])
+        assert (zero * huge).coeffs == (0,) * 5
+        assert (huge * zero).coeffs == (0,) * 5
+
+    def test_cancellation_to_exact_zero(self):
+        # (1 + q)(1 - q + q^2 - ...) = 1: every later digit is exactly the bias.
+        for c in (1, 2**200):
+            plus = TruncatedSeries([c, c] + [0] * 8)
+            alternating = TruncatedSeries([(-1) ** k for k in range(10)])
+            assert (plus * alternating).coeffs == (c,) + (0,) * 9
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_byte_boundaries(self, k):
+        edge = 2 ** (8 * k - 1)
+        values = [edge, -edge, edge - 1, 1 - edge, edge + 1, -edge - 1, 0, 1]
+        for a in (values, values[::-1]):
+            for b in (values, [1] + [0] * 7, [-1, 1] + [0] * 6):
+                got = TruncatedSeries(a) * TruncatedSeries(b)
+                assert list(got.coeffs) == dense_product(a, b, 7), (a, b)
+
+    def test_order_2000(self):
+        rng = random.Random(2000)
+        a = [rng.randint(-9, 9) for _ in range(2001)]
+        b = [rng.randint(-9, 9) for _ in range(2001)]
+        got = TruncatedSeries(a) * TruncatedSeries(b)
+        assert list(got.coeffs) == dense_product(a, b, 2000)
 
 
 BUILDER_ORDERS = (0, 1, 2, 7, 40, 200)

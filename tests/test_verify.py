@@ -162,12 +162,12 @@ DEFECT_TABLE = [
         lambda fn: _bump(fn, 17), dict(order=20),
         21, {"t": 2, "exponent": 17, "enumerated": 0, "product": 1},
     ),
-    # the second phase counts on from the first: 63 + 9 + 2 cases
+    # the second phase counts on from the first: 63 + 9 + 2 cases; surplus 1 is class 1
     (
-        "prop3.4", (verify, "_class_rows"),
+        "prop3.4", (verify.enumeration, "sc_surplus_table"),
         lambda fn: lambda *args: {
-            m: tuple(c + (n == 2 and m == 1) for n, c in enumerate(row))
-            for m, row in fn(*args).items()
+            s: tuple(c + (n == 2 and s == 1) for n, c in enumerate(row))
+            for s, row in fn(*args).items()
         },
         dict(max_weight=12),
         74, {"n": 2, "m": 1, "count": 1, "expected": 0},
