@@ -82,11 +82,10 @@ def phi(sc: Partition) -> PhiImage:
 def psi(m: int, mu: Partition) -> Partition:
     """Inverse of phi on class m: rebuild the self-conjugate partition.
 
-    For odd m = 2k-1 there is a unique s >= 0 with mu_{s+k} >= s and
-    mu_{s+k+1} <= s (parts beyond the last count as 0), and r = s + k;
-    for even m = 2k a unique r >= 0 with mu_r >= r + k and
-    mu_{r+1} <= r + k (vacuous first condition at r = 0), and s = r + k.
-    Uniqueness is checked rather than assumed.
+    Class m has surplus d = r - s = (m+1)/2 for odd m and -m/2 for even m.
+    There is a unique r >= max(d, 0) with mu_r >= r - d (vacuous at r = 0)
+    and mu_{r+1} <= r - d, parts beyond the last counting as 0; then
+    s = r - d. Uniqueness is checked rather than assumed.
     """
     if m < 0:
         raise ValueError(f"class index must be >= 0, got {m}")
@@ -96,24 +95,17 @@ def psi(m: int, mu: Partition) -> Partition:
     def at(i: int) -> int:
         return parts[i - 1] if 1 <= i <= ell else 0
 
-    if m % 2:
-        k = (m + 1) // 2
-        found = [s for s in range(ell + 2) if at(s + k) >= s and at(s + k + 1) <= s]
-        if len(found) != 1:
-            raise RuntimeError(f"split index not unique for m={m}, mu=({mu}): {found}")
-        s = found[0]
-        r = s + k
-    else:
-        k = m // 2
-        found = [
-            r
-            for r in range(ell + 2)
-            if (r == 0 or at(r) >= r + k) and at(r + 1) <= r + k
-        ]
-        if len(found) != 1:
-            raise RuntimeError(f"split index not unique for m={m}, mu=({mu}): {found}")
-        r = found[0]
-        s = r + k
+    d = (m + 1) // 2 if m % 2 else -m // 2
+    low = max(d, 0)
+    found = [
+        r
+        for r in range(low, ell + low + 2)
+        if (r == 0 or at(r) >= r - d) and at(r + 1) <= r - d
+    ]
+    if len(found) != 1:
+        raise RuntimeError(f"split index not unique for m={m}, mu=({mu}): {found}")
+    r = found[0]
+    s = r - d
 
     gamma = list(Partition(parts[r:]).conjugate().parts)
     if len(gamma) > s:

@@ -1,9 +1,14 @@
 """Command-line interface: map, inverse, count, series, and verify.
 
 Output is machine-readable and deterministic: JSON with sorted keys, or
-CSV for count tables. Exit codes: 0 success, 1 verification failure,
-2 usage or validation error. Relative --out paths resolve against the
-SCPARTITIONS_OUT_DIR environment variable when it is set.
+CSV for count tables. Each subcommand offers only the flags it acts on:
+--out on all five, --format on count, --verbose on map and inverse. A
+count family or series kind is one row of a table naming the parameter
+flags it reads; a missing one or any other one exits 2. Every bound that
+enumerates partitions is admitted against a budget before any work.
+Exit codes: 0 success, 1 verification failure, 2 usage or validation
+error. Relative --out paths resolve against the SCPARTITIONS_OUT_DIR
+environment variable when it is set.
 """
 
 from __future__ import annotations
@@ -72,8 +77,6 @@ def _load_sc(args) -> Partition:
 
 
 def _cmd_map(args) -> int:
-    if args.format != "json":
-        raise UsageError("map supports only --format json")
     lam = _load_sc(args)
     m, mu = bijection.phi(lam)
     tri = m * (m + 1) // 2
@@ -94,8 +97,6 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
-    if args.format != "json":
-        raise UsageError("inverse supports only --format json")
     m = _nonneg(args.m, "--m")
     mu = parse_partition(args.mu)
     lam = bijection.psi(m, mu)
@@ -113,62 +114,71 @@ def _cmd_inverse(args) -> int:
 # The search over cores visits that many only when every modulus exceeds --max.
 COUNT_BUDGET = 6_000_000
 
-# Most (partition, class) pairs thm3.1 may round-trip through psi and phi: the sum of
-# p(w) * (--max-m + 1) over w <= --max-mu.
+# Most partitions verify may push through a per-case law: the sum of p(w) * (--max-m + 1)
+# over w <= --max-mu (thm3.1's round trips through psi and phi), and the sum of sc(w) over
+# w <= --max-weight (the self-conjugate sweeps).
 ROUND_TRIP_BUDGET = 1_000_000
 
 
-def _largest_admitted(max_n: int, budget: int, copies: int = 1) -> int:
-    """Largest n <= max_n with copies * (p(0) + ... + p(n)) <= budget; -1 if none."""
-    total = 0
-    for n in range(max_n + 1):
-        total += enumeration.partition_count(n) * copies
+def _admit(flag: str, value: int, counts, budget: int, overrun: str) -> None:
+    """Refuse `flag value` once the sum of counts(n).rows[w] over w <= value passes budget,
+    naming the largest value admitted. counts(n) is built for doubling n, so a huge value
+    costs no more than reading up to the first weight past the budget."""
+    total, rows = 0, ()
+    for w in range(value + 1):
+        if w == len(rows):
+            rows = counts(2 * w + 63).rows
+        total += rows[w]
         if total > budget:
-            return n - 1
-    return max_n
+            largest = w - 1 if w else "none"
+            raise UsageError(f"{flag} {value} {overrun}; the largest {flag} admitted is {largest}")
 
 
-def _check_count_budget(max_n: int) -> None:
-    admitted = _largest_admitted(max_n, COUNT_BUDGET)
-    if admitted < max_n:
-        raise UsageError(
-            f"--max {max_n} would enumerate more than {COUNT_BUDGET} partitions;"
-            f" the largest --max admitted is {admitted}"
-        )
+def _chosen(args, flag: str, table: dict) -> tuple:
+    """The table row of the family or kind chosen by flag, once every parameter flag the
+    row reads is given and no other parameter flag of the table is."""
+    choice = getattr(args, flag[2:])
+    row = table[choice]
+    reads = row[0]
+    if any(getattr(args, param[2:]) is None for param in reads):
+        verb = "are" if len(reads) > 1 else "is"
+        raise UsageError(f"{' and '.join(reads)} {verb} required for {flag} {choice}")
+    for param in dict.fromkeys(param for other in table.values() for param in other[0]):
+        if param not in reads and getattr(args, param[2:]) is not None:
+            raise UsageError(f"{flag} {choice} does not read {param}")
+    return row
 
 
-def _count_table(args) -> enumeration.CountTable:
-    family = args.family
-    if family == "p":
-        return enumeration.partition_count_table(args.max)
-    if family == "sc":
-        return enumeration.sc_count_table(args.max)
-    if family == "core":
-        if args.t is None:
-            raise UsageError("--t is required for --family core")
-        _check_count_budget(args.max)
-        return enumeration.core_count_table(args.t, args.max)
-    if family == "sc-core":
-        if args.t is None:
-            raise UsageError("--t is required for --family sc-core")
-        return enumeration.sc_core_count_table(args.t, args.max)
-    if family == "sim":
-        if args.ts is None:
-            raise UsageError("--ts is required for --family sim")
-        _check_count_budget(args.max)
-        return enumeration.sim_core_count_table(_parse_int_list(args.ts, "--ts"), args.max)
-    if family == "sc-sim":
-        if args.ts is None or args.m is None:
-            raise UsageError("--ts and --m are required for --family sc-sim")
-        return enumeration.count_sc_sim_core_m(
-            _parse_int_list(args.ts, "--ts"), _nonneg(args.m, "--m"), args.max
-        )
-    raise UsageError(f"unknown family {family!r}")
+# family -> (parameter flags it reads, per-weight count table bounding its work or None
+# when uncapped, table builder)
+_FAMILIES = {
+    "p": ((), None, lambda a: enumeration.partition_count_table(a.max)),
+    "sc": ((), None, lambda a: enumeration.sc_count_table(a.max)),
+    "core": (("--t",), enumeration.partition_count_table,
+             lambda a: enumeration.core_count_table(a.t, a.max)),
+    "sc-core": (("--t",), None, lambda a: enumeration.sc_core_count_table(a.t, a.max)),
+    "sim": (("--ts",), enumeration.partition_count_table,
+            lambda a: enumeration.sim_core_count_table(_parse_int_list(a.ts, "--ts"), a.max)),
+    "sc-sim": (("--ts", "--m"), None, lambda a: enumeration.count_sc_sim_core_m(
+        _parse_int_list(a.ts, "--ts"), _nonneg(a.m, "--m"), a.max)),
+}
+
+# kind -> (parameter flags it reads, series builder)
+_KINDS = {
+    "core_gf": (("--t",), lambda a: series_mod.core_product_series(a.t, a.order)),
+    "sc2t_gf": (("--t",), lambda a: series_mod.sc_even_core_product_series(a.t, a.order)),
+    "gauss_rhs": ((), lambda a: series_mod.gauss_product_series(a.order)),
+    "triangular": ((), lambda a: series_mod.triangular_series(a.order)),
+}
 
 
 def _cmd_count(args) -> int:
     _nonneg(args.max, "--max")
-    table = _count_table(args)
+    _, work, build = _chosen(args, "--family", _FAMILIES)
+    if work is not None:
+        overrun = f"would enumerate more than {COUNT_BUDGET} partitions"
+        _admit("--max", args.max, work, COUNT_BUDGET, overrun)
+    table = build(args)
     if args.format == "csv":
         _emit(table.to_csv_text(), args.out)
     else:
@@ -177,25 +187,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.format != "json":
-        raise UsageError("series supports only --format json")
     _nonneg(args.order, "--order")
-    kind = args.kind
-    if kind == "triangular":
-        out = series_mod.triangular_series(args.order)
-    elif kind == "gauss_rhs":
-        out = series_mod.gauss_product_series(args.order)
-    elif kind == "core_gf":
-        if args.t is None:
-            raise UsageError("--t is required for --kind core_gf")
-        out = series_mod.core_product_series(args.t, args.order)
-    elif kind == "sc2t_gf":
-        if args.t is None:
-            raise UsageError("--t is required for --kind sc2t_gf")
-        out = series_mod.sc_even_core_product_series(args.t, args.order)
-    else:
-        raise UsageError(f"unknown series kind {kind!r}")
-    _emit_json(out.to_json_dict(), args.out)
+    _, build = _chosen(args, "--kind", _KINDS)
+    _emit_json(build(args).to_json_dict(), args.out)
     return 0
 
 
@@ -209,20 +203,17 @@ _BOUND_FLAGS = (
 
 
 def _cmd_verify(args) -> int:
-    if args.format == "csv":
-        raise UsageError("verify supports only --format json")
     ids = verify.all_ids() if args.all else [args.theorem]
     if not args.all and args.theorem is None:
         raise UsageError("a theorem id or --all is required")
     bounds = {field: _nonneg(getattr(args, field), flag) for flag, field, _ in _BOUND_FLAGS}
-    max_mu, max_class = bounds["max_mu_weight"], bounds["max_class"]
-    admitted = _largest_admitted(max_mu, ROUND_TRIP_BUDGET, max_class + 1)
-    if admitted < max_mu:
-        raise UsageError(
-            f"--max-mu {max_mu} with --max-m {max_class} would round-trip more than"
-            f" {ROUND_TRIP_BUDGET} partition-class pairs; the largest --max-mu admitted"
-            f" is {admitted if admitted >= 0 else 'none'}"
-        )
+    budget, copies = ROUND_TRIP_BUDGET, bounds["max_class"] + 1
+    overrun = f"would sweep more than {budget} self-conjugate partitions"
+    _admit("--max-weight", bounds["max_weight"], enumeration.sc_count_table, budget, overrun)
+    # copies * total > budget exactly when the integer total > budget // copies.
+    overrun = f"with --max-m {copies - 1} would round-trip more than {budget} partition-class pairs"
+    _admit("--max-mu", bounds["max_mu_weight"], enumeration.partition_count_table,
+           budget // copies, overrun)
     reports = []
     for theorem in ids:
         report = verify.run_check(theorem, seed=args.seed, **bounds)
@@ -235,12 +226,9 @@ def _cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json",
-        help="output format (csv applies to count tables only)",
-    )
     common.add_argument("--out", help=f"write output to a file (relative to ${OUT_DIR_ENV} if set)")
-    common.add_argument("--verbose", action="store_true", help="diagrams to stderr (map, inverse)")
+    drawn = argparse.ArgumentParser(add_help=False)
+    drawn.add_argument("--verbose", action="store_true", help="Young diagrams to stderr")
 
     parser = argparse.ArgumentParser(
         prog="scpart",
@@ -249,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_map = sub.add_parser(
-        "map", parents=[common],
+        "map", parents=[common, drawn],
         help="map a self-conjugate partition to its class and image partition",
     )
     p_map.add_argument("partition", nargs="?", help='partition as "4,4,4,3" ("" for empty)')
@@ -257,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.set_defaults(func=_cmd_map)
 
     p_inv = sub.add_parser(
-        "inverse", parents=[common],
+        "inverse", parents=[common, drawn],
         help="rebuild the self-conjugate partition from a class and image",
     )
     p_inv.add_argument("--m", type=int, required=True, help="class index (>= 0)")
@@ -267,23 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser(
         "count", parents=[common], help="tabulate a counting family over n = 0..max"
     )
-    p_count.add_argument(
-        "--family", required=True,
-        choices=("p", "sc", "core", "sc-core", "sim", "sc-sim"),
-    )
+    p_count.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p_count.add_argument("--t", type=int, help="modulus for core / sc-core")
     p_count.add_argument("--ts", help='comma-separated moduli for sim / sc-sim, e.g. "3,4"')
     p_count.add_argument("--m", type=int, help="class index for sc-sim")
     p_count.add_argument("--max", type=int, default=40, help="largest weight tabulated")
+    p_count.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     p_count.set_defaults(func=_cmd_count)
 
     p_series = sub.add_parser(
         "series", parents=[common], help="expand a named series to a truncation order"
     )
-    p_series.add_argument(
-        "--kind", required=True,
-        choices=("core_gf", "sc2t_gf", "gauss_rhs", "triangular"),
-    )
+    p_series.add_argument("--kind", required=True, choices=tuple(_KINDS))
     p_series.add_argument("--t", type=int, help="modulus parameter for core_gf / sc2t_gf")
     p_series.add_argument("--order", type=int, default=40, help="truncation order")
     p_series.set_defaults(func=_cmd_series)

@@ -114,9 +114,10 @@ class TestPsi:
             assert psi(m, mu) == sc
 
     def test_round_trip_mu_side(self):
-        for w in range(9):
+        # Every class m <= 12 and every mu of weight <= 16: 11,895 pairs.
+        for w in range(17):
             for mu in partitions_of(w):
-                for m in range(6):
+                for m in range(13):
                     assert phi(psi(m, mu)) == (m, mu)
 
 

@@ -1,9 +1,11 @@
+import argparse
 import json
 import time
 
 import pytest
 
 from scpartitions import cli, verify
+from scpartitions.enumeration import partition_count_table
 from scpartitions.verify import VerificationReport
 
 
@@ -149,6 +151,11 @@ class TestCount:
             " the largest --max admitted is 59\n"
         )
 
+    def test_budget_itself_is_admitted(self):
+        cli._admit("--max", 1, partition_count_table, 2, "over")  # p(0) + p(1) == 2
+        with pytest.raises(cli.UsageError, match="^--max 1 over; the largest --max admitted is 0$"):
+            cli._admit("--max", 1, partition_count_table, 1, "over")
+
     def test_under_budget_still_counts(self, capsys):
         code, out, _ = run(capsys, "count", "--family", "core", "--t", "3", "--max", "40")
         assert code == 0
@@ -215,18 +222,39 @@ class TestVerify:
         )
 
     def test_round_trip_budget_edges(self, capsys):
-        assert cli._largest_admitted(200, cli.ROUND_TRIP_BUDGET, 7) == 37
-        assert cli._largest_admitted(37, cli.ROUND_TRIP_BUDGET, 7) == 37
+        overrun = "over"
+        with pytest.raises(cli.UsageError, match=r"; the largest --max-mu admitted is 37$"):
+            cli._admit("--max-mu", 200, partition_count_table, cli.ROUND_TRIP_BUDGET // 7, overrun)
+        cli._admit("--max-mu", 37, partition_count_table, cli.ROUND_TRIP_BUDGET // 7, overrun)
         code, _, err = run(capsys, "verify", "gauss", "--max-mu", "0", "--max-m", "2000000")
         assert code == 2
         assert err.endswith("; the largest --max-mu admitted is none\n")
 
     def test_default_bounds_are_within_budget(self, capsys):
         bounds = verify.SweepBounds()
-        copies = bounds.max_class + 1
-        assert cli._largest_admitted(bounds.max_mu_weight, cli.ROUND_TRIP_BUDGET, copies) == 12
+        budget = cli.ROUND_TRIP_BUDGET // (bounds.max_class + 1)
+        assert bounds.max_mu_weight == 12
+        cli._admit("--max-mu", 12, partition_count_table, budget, "over")
         code, _, _ = run(capsys, "verify", "thm3.1")
         assert code == 0
+
+    @pytest.mark.parametrize("theorem", ["prop2.3", "gauss"])
+    @pytest.mark.parametrize("weight", ["158", "200", "1000000000"])
+    def test_max_weight_budget_refuses_before_any_check(self, capsys, theorem, weight):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", theorem, "--max-weight", weight)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --max-weight {weight} would sweep more than {cli.ROUND_TRIP_BUDGET}"
+            " self-conjugate partitions; the largest --max-weight admitted is 157\n"
+        )
+
+    def test_max_weight_budget_edge(self, capsys):
+        # The self-conjugate partitions of weight <= 157 number 978,263; gauss reads no weight.
+        code, out, _ = run(capsys, "verify", "gauss", "--max-weight", "157", "--order", "5")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
 
     def test_zero_cases_exits_one(self, capsys):
         code, out, err = run(capsys, "verify", "prop4.2", "--max-weight", "0")
@@ -292,6 +320,82 @@ class TestOutputHandling:
         assert code == 0
         assert json.loads(target.read_text())["m"] == 2
 
-    def test_csv_rejected_outside_count(self, capsys):
-        code, _, err = run(capsys, "map", "", "--format", "csv")
-        assert code == 2
+    def test_csv_rejected_outside_count(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["map", "", "--format", "csv"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "prop2.3", "--format", "json"],
+            ["series", "--kind", "triangular", "--format", "csv"],
+            ["count", "--family", "p", "--verbose"],
+            ["verify", "prop2.3", "--verbose"],
+        ],
+    )
+    def test_flag_refused_where_it_does_nothing(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestParser:
+    def test_each_subcommand_offers_only_its_flags(self):
+        (subparsers,) = [
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        offered = {
+            name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert offered == {
+            "map": {"--diagonal", "--out", "--verbose"},
+            "inverse": {"--m", "--mu", "--out", "--verbose"},
+            "count": {"--family", "--t", "--ts", "--m", "--max", "--format", "--out"},
+            "series": {"--kind", "--t", "--order", "--out"},
+            "verify": {"--all", "--max-weight", "--order", "--max-mu", "--max-m", "--seed", "--out"},
+        }
+
+
+# Every parameter flag of the command: a family or kind needs each one it reads
+# and refuses each other one.
+_PARAMS = {"--family": {"--t": "5", "--ts": "4,6", "--m": "0"}, "--kind": {"--t": "5"}}
+_READS = [
+    ("count", "--family", "p", ()),
+    ("count", "--family", "sc", ()),
+    ("count", "--family", "core", ("--t",)),
+    ("count", "--family", "sc-core", ("--t",)),
+    ("count", "--family", "sim", ("--ts",)),
+    ("count", "--family", "sc-sim", ("--ts", "--m")),
+    ("series", "--kind", "core_gf", ("--t",)),
+    ("series", "--kind", "sc2t_gf", ("--t",)),
+    ("series", "--kind", "gauss_rhs", ()),
+    ("series", "--kind", "triangular", ()),
+]
+
+
+class TestParameterFlags:
+    def test_table_covers_every_choice(self):
+        assert sorted(c for cmd, _, c, _ in _READS if cmd == "count") == sorted(cli._FAMILIES)
+        assert sorted(c for cmd, _, c, _ in _READS if cmd == "series") == sorted(cli._KINDS)
+
+    @pytest.mark.parametrize("command, flag, choice, reads", _READS)
+    def test_reads_exactly_its_flags(self, capsys, command, flag, choice, reads):
+        given = [tok for param in reads for tok in (param, _PARAMS[flag][param])]
+        bound = ["--max", "4"] if command == "count" else ["--order", "4"]
+        code, out, _ = run(capsys, command, flag, choice, *given, *bound)
+        assert code == 0
+        json.loads(out)
+        for param in reads:
+            rest = [tok for p in reads if p != param for tok in (p, _PARAMS[flag][p])]
+            code, out, err = run(capsys, command, flag, choice, *rest)
+            verb = "are" if len(reads) > 1 else "is"
+            assert (code, out) == (2, "")
+            assert err == f"error: {' and '.join(reads)} {verb} required for {flag} {choice}\n"
+        for param, value in _PARAMS[flag].items():
+            if param not in reads:
+                code, out, err = run(capsys, command, flag, choice, *given, param, value)
+                assert (code, out, err) == (2, "", f"error: {flag} {choice} does not read {param}\n")
