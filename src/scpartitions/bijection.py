@@ -75,8 +75,7 @@ def phi(sc: Partition) -> PhiImage:
     m = _class_index(r - s)
     head = [a[i] + (i + 1) + s - r for i in range(r)]
     gamma = Partition(b[j] - s + j for j in range(s))
-    tail = gamma.conjugate().parts
-    return PhiImage(m, Partition(head + list(tail)))
+    return PhiImage(m, Partition(head + list(gamma._conjugate_parts())))
 
 
 def psi(m: int, mu: Partition) -> Partition:
@@ -85,7 +84,8 @@ def psi(m: int, mu: Partition) -> Partition:
     Class m has surplus d = r - s = (m+1)/2 for odd m and -m/2 for even m.
     There is a unique r >= max(d, 0) with mu_r >= r - d (vacuous at r = 0)
     and mu_{r+1} <= r - d, parts beyond the last counting as 0; then
-    s = r - d. Uniqueness is checked rather than assumed.
+    s = r - d. It is at most ell + max(d, 0) for ell parts, since past that
+    mu_r = 0 < r - d. Uniqueness is checked rather than assumed.
     """
     if m < 0:
         raise ValueError(f"class index must be >= 0, got {m}")
@@ -99,7 +99,7 @@ def psi(m: int, mu: Partition) -> Partition:
     low = max(d, 0)
     found = [
         r
-        for r in range(low, ell + low + 2)
+        for r in range(low, ell + low + 1)
         if (r == 0 or at(r) >= r - d) and at(r + 1) <= r - d
     ]
     if len(found) != 1:

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .bijection import _class_index
-from .partitions import Partition, check_moduli, sc_from_diagonal
+from .partitions import Partition, _sc_from_hooks, check_moduli
 
 __all__ = [
     "CountTable",
@@ -161,8 +161,8 @@ def distinct_odd_decompositions(n: int) -> Iterator[tuple[int, ...]]:
 
 def self_conjugate_of(n: int) -> Iterator[Partition]:
     """All self-conjugate partitions of n, via distinct-odd decompositions."""
-    for deltas in distinct_odd_decompositions(n):
-        yield sc_from_diagonal(deltas)
+    # The decompositions are distinct, odd and decreasing: build them unchecked.
+    yield from map(_sc_from_hooks, distinct_odd_decompositions(n))
 
 
 def tabulate(

@@ -3,7 +3,14 @@
 Rows and columns of a Young diagram are indexed from 1. A self-conjugate
 partition is determined by its main-diagonal hook lengths, a strictly
 decreasing set of distinct odd positive integers; the functions at the
-bottom of this module convert between the two representations.
+bottom of this module convert between the two representations, and a
+partition built from its diagonal hooks carries its conjugate (its own
+parts), so nothing derives it again.
+
+Hook lengths come from the beads, the first-column hook set B: the hooks
+are the differences x - y with x in B and 0 <= y < x not in B. So the
+hook multiset takes one big-integer step per length up to the largest
+hook, and the disparity depends only on how many beads are odd.
 """
 
 from __future__ import annotations
@@ -55,27 +62,33 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         try:
-            cleaned = tuple(operator.index(x) for x in parts)
+            cleaned = tuple(map(operator.index, parts))
         except TypeError as exc:
             raise PartitionError(f"parts must be integers: {exc}") from exc
         while cleaned and cleaned[-1] == 0:
             cleaned = cleaned[:-1]
-        for i, x in enumerate(cleaned):
-            if x <= 0:
-                raise PartitionError(f"part at index {i} is not positive: {x}")
-            if i and cleaned[i - 1] < x:
-                raise PartitionError(
-                    f"parts increase at index {i}: {cleaned[i - 1]} < {x}"
-                )
+        # Weakly decreasing with a positive last part is valid; only an
+        # invalid input walks the parts in Python, to name the first fault.
+        if cleaned and not (cleaned[-1] > 0 and all(map(operator.ge, cleaned, cleaned[1:]))):
+            for i, x in enumerate(cleaned):
+                if x <= 0:
+                    raise PartitionError(f"part at index {i} is not positive: {x}")
+                if i and cleaned[i - 1] < x:
+                    raise PartitionError(
+                        f"parts increase at index {i}: {cleaned[i - 1]} < {x}"
+                    )
         self._parts = cleaned
         self._conj = None
 
     @classmethod
-    def _from_parts(cls, parts: tuple[int, ...]) -> "Partition":
-        # Trusted constructor for internally generated, already-canonical data.
+    def _from_parts(
+        cls, parts: tuple[int, ...], conj: tuple[int, ...] | None = None
+    ) -> "Partition":
+        # Trusted constructor for internally generated, already-canonical
+        # data; conj, when given, must be the conjugate's parts.
         self = cls.__new__(cls)
         self._parts = parts
-        self._conj = None
+        self._conj = conj
         return self
 
     @property
@@ -156,12 +169,20 @@ class Partition:
         return self._parts[i - 1] + self._conjugate_parts()[j - 1] - i - j + 1
 
     def hook_multiset(self) -> Counter:
-        """Multiset of all hook lengths, keyed by value; total equals the weight."""
-        conj = self._conjugate_parts()
-        hooks: list[int] = []
-        for i, row in enumerate(self._parts, start=1):
-            hooks.extend(row + conj[j] - i - j for j in range(row))
-        return Counter(hooks)
+        """Multiset of all hook lengths, keyed by value; total equals the weight.
+
+        Hook h is counted once per bead x with x - h >= 0 not a bead: with
+        the beads as the bits of one integer, the count is the number of
+        bits of beads >> h that are gaps. Only lengths that occur are keys.
+        """
+        beads = sum(map((1).__lshift__, self.beta_set()))
+        gaps = ~beads
+        counts = {}
+        for h in range(1, beads.bit_length()):
+            count = (beads >> h & gaps).bit_count()
+            if count:
+                counts[h] = count
+        return Counter(counts)
 
     def beta_set(self) -> tuple[int, ...]:
         """First-column hook lengths, strictly decreasing; one per part."""
@@ -179,13 +200,17 @@ class Partition:
         return tuple(2 * self._parts[i] - 2 * i - 1 for i in range(self.durfee_side()))
 
     def disparity(self) -> int:
-        """Number of odd hook lengths minus number of even ones."""
-        conj = self._conjugate_parts()
-        total = 0
-        for i, row in enumerate(self._parts, start=1):
-            for j in range(row):
-                total += 1 if (row + conj[j] - i - j) % 2 else -1
-        return total
+        """Number of odd hook lengths minus number of even ones.
+
+        Each hook is x - y for a bead x and a gap 0 <= y < x. Below x lie
+        (x + 1) // 2 places of the other parity and x // 2 of its own, less
+        the beads among them; summed over the beads, odd minus even hooks is
+        o + C(o, 2) + C(e, 2) - o * e for o odd and e even beads, which is
+        D(D + 1) / 2 with D = o - e.
+        """
+        beta = self.beta_set()
+        surplus = 2 * sum(map((1).__and__, beta)) - len(beta)
+        return surplus * (surplus + 1) // 2
 
     def is_simultaneous_core(self, ts: Iterable[int]) -> bool:
         """True when the partition is a t-core for every modulus in ts."""
@@ -226,16 +251,24 @@ def sc_from_diagonal(deltas: Iterable[int]) -> Partition:
     hooks. Entries may come in any order but must be distinct, odd and
     positive.
     """
-    ds = _validated_deltas(deltas)
+    return _sc_from_hooks(_validated_deltas(deltas))
+
+
+def _sc_from_hooks(ds: tuple[int, ...]) -> Partition:
+    # ds: distinct odd positive diagonal hooks, decreasing (as _validated_deltas
+    # returns them and the generator yields them); nothing is checked.
     d = len(ds)
-    head = [(ds[i] - 1) // 2 + i + 1 for i in range(d)]
+    head = [(x - 1) // 2 + i for i, x in enumerate(ds, start=1)]
     parts = list(head)
     # Below the diagonal, rows head[i] + 1 .. head[i - 1] have length i (head[d] = d).
     below = d
     for i in range(d, 0, -1):
         parts.extend([i] * (head[i - 1] - below))
         below = head[i - 1]
-    return Partition._from_parts(tuple(parts))
+    parts = tuple(parts)
+    # The rows built below the diagonal are the columns right of it, so
+    # the partition is its own conjugate.
+    return Partition._from_parts(parts, parts)
 
 
 def beta_from_diagonal(deltas: Iterable[int]) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ from the library's generators and test it with its core predicate, so
 they share nothing with the library's search over cores.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 from scpartitions import classify, distinct_odd_decompositions, partitions_of, self_conjugate_of
@@ -35,6 +36,18 @@ def hooks_by_cells(parts):
         leg = sum(1 for ii in range(i + 1, 10_000) if (ii, j) in boxes)
         out.append(arm + leg + 1)
     return sorted(out)
+
+
+def hooks_by_formula(parts):
+    """Hook multiset by the per-box formula row_i + col_j - i - j + 1.
+
+    The columns come from transpose_by_cells; only lengths that occur are keys.
+    """
+    conj = transpose_by_cells(parts)
+    hooks = []
+    for i, row in enumerate(parts, start=1):
+        hooks.extend(row + conj[j] - i - j for j in range(row))
+    return Counter(hooks)
 
 
 def catalan_by_recurrence(n):

@@ -39,6 +39,7 @@ from oracles import (
     partitions_brute,
     sc_counts_by_decomposition,
     sc_cores_by_brute_force,
+    transpose_by_cells,
 )
 
 
@@ -90,8 +91,17 @@ class TestSelfConjugateOf:
     def test_all_outputs_self_conjugate(self):
         for n in range(31):
             for sc in self_conjugate_of(n):
-                assert sc.is_self_conjugate()
+                assert Partition(sc.parts).is_self_conjugate()
                 assert sc.weight == n
+
+    def test_built_parts_are_their_cell_transpose_up_to_40(self):
+        # The generator builds each partition unchecked and takes its parts as
+        # its conjugate; check both against conjugation by cells.
+        for n in range(41):
+            for deltas, sc in zip(distinct_odd_decompositions(n), self_conjugate_of(n), strict=True):
+                assert sc.parts == transpose_by_cells(sc.parts), deltas
+                assert sc.conjugate().parts == transpose_by_cells(sc.parts), deltas
+                assert Partition(sc.parts).diagonal_hooks() == deltas
 
     def test_matches_filter_oracle_up_to_40(self):
         for n in range(41):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scpartitions import (
     Partition,
@@ -8,9 +10,29 @@ from scpartitions import (
     parse_partition,
     partitions_of,
     sc_from_diagonal,
+    self_conjugate_of,
 )
 
-from oracles import hooks_by_cells, transpose_by_cells
+from oracles import hooks_by_cells, hooks_by_formula, transpose_by_cells
+
+
+def _parts_up_to(weight):
+    # Decreasing parts, cut where the running sum would pass the weight.
+    def cut(xs):
+        parts, total = [], 0
+        for x in sorted(xs, reverse=True):
+            if total + x > weight:
+                break
+            parts.append(x)
+            total += x
+        return Partition(parts)
+
+    return st.lists(st.integers(1, 60), max_size=60).map(cut)
+
+
+def _parity_balance(hooks):
+    # Odd minus even lengths of a hook multiset.
+    return sum(c if h % 2 else -c for h, c in hooks.items())
 
 
 class TestConstruction:
@@ -41,6 +63,25 @@ class TestConstruction:
     def test_non_integer_rejected(self):
         with pytest.raises(PartitionError):
             Partition([2.5, 1])
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ([3, -1], "part at index 1 is not positive: -1"),
+            ([3, 2, -1, 0], "part at index 2 is not positive: -1"),
+            ([0, 0, -2], "part at index 0 is not positive: 0"),
+            ([3, 0, 1], "part at index 1 is not positive: 0"),
+            ([2, 3, 1], "parts increase at index 1: 2 < 3"),
+            ([4, 2, 0, 3], "part at index 2 is not positive: 0"),
+            ([2, 1.5], "parts must be integers: 'float' object cannot be interpreted as an integer"),
+            ([None], "parts must be integers: 'NoneType' object cannot be interpreted as an integer"),
+            (5, "parts must be integers: 'int' object is not iterable"),
+        ],
+    )
+    def test_error_messages(self, parts, message):
+        with pytest.raises(PartitionError) as excinfo:
+            Partition(parts)
+        assert str(excinfo.value) == message
 
     def test_equality_and_hash(self):
         assert Partition([2, 1]) == Partition((2, 1))
@@ -131,6 +172,16 @@ class TestHooks:
             for p in partitions_of(n):
                 assert p.hook_multiset() == p.conjugate().hook_multiset()
 
+    def test_multiset_matches_formula_oracle_up_to_30(self):
+        # dict equality, so a key with count 0 would fail as well.
+        for n in range(31):
+            for p in partitions_of(n):
+                assert dict(p.hook_multiset()) == dict(hooks_by_formula(p.parts)), p
+
+    @given(_parts_up_to(200))
+    def test_multiset_matches_formula_oracle_up_to_200(self, p):
+        assert dict(p.hook_multiset()) == dict(hooks_by_formula(p.parts))
+
 
 class TestBetaSet:
     def test_example(self):
@@ -150,11 +201,9 @@ class TestBetaSet:
                     assert beta[0] == p.hook_length(1, 1)
 
     def test_self_conjugate_beta_equality(self):
-        from scpartitions import self_conjugate_of
-
         for n in range(41):
             for sc in self_conjugate_of(n):
-                assert sc.beta_set() == sc.conjugate().beta_set()
+                assert sc.beta_set() == Partition(sc.parts).conjugate().beta_set()
 
 
 class TestDiagonalHooks:
@@ -182,7 +231,7 @@ class TestDiagonalHooks:
         assert sc_from_diagonal([]) == Partition()
         lam = sc_from_diagonal([21, 15, 13, 9, 3, 1])
         assert lam.weight == 62
-        assert lam.is_self_conjugate()
+        assert Partition(lam.parts).is_self_conjugate()
 
     def test_reconstruction_rejects_bad_input(self):
         with pytest.raises(ValueError, match="even"):
@@ -211,7 +260,7 @@ class TestDiagonalHooks:
             for deltas in distinct_odd_decompositions(n):
                 sc = sc_from_diagonal(deltas)
                 assert sc.weight == n
-                assert sc.is_self_conjugate()
+                assert Partition(sc.parts).is_self_conjugate()
                 assert sc.diagonal_hooks() == deltas
 
 
@@ -240,6 +289,22 @@ class TestDisparity:
             for p in partitions_of(n):
                 odd = sum(c for h, c in p.hook_multiset().items() if h % 2)
                 assert p.disparity() == odd - (n - odd)
+
+    def test_matches_formula_oracle_up_to_30(self):
+        for n in range(31):
+            for p in partitions_of(n):
+                assert p.disparity() == _parity_balance(hooks_by_formula(p.parts)), p
+
+    def test_self_conjugate_matches_formula_oracle_up_to_60(self):
+        for n in range(61):
+            for sc in self_conjugate_of(n):
+                assert sc.disparity() == _parity_balance(hooks_by_formula(sc.parts)), sc
+
+    def test_matches_cell_oracle_up_to_10(self):
+        for n in range(11):
+            for p in partitions_of(n):
+                odd = sum(h % 2 for h in hooks_by_cells(p.parts))
+                assert p.disparity() == odd - (n - odd), p
 
 
 class TestCores:

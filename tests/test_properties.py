@@ -47,7 +47,7 @@ def test_beta_set_strictly_decreasing(p):
 @given(odd_sets)
 def test_diagonal_round_trip(deltas):
     sc = sc_from_diagonal(deltas)
-    assert sc.is_self_conjugate()
+    assert Partition(sc.parts).is_self_conjugate()
     assert sc.diagonal_hooks() == deltas
     assert sc.weight == sum(deltas)
 

@@ -83,3 +83,16 @@ def test_no_count_function_walks_the_generators():
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in GENERATORS
     }
     assert walkers == set()
+
+
+def test_only_partitions_sets_a_known_conjugate():
+    # A Partition trusts its _conj slot as its conjugate's parts, so only
+    # partitions.py may store it or name it in a string (setattr).
+    found = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "_conj" and isinstance(node.ctx, ast.Store))
+        or (isinstance(node, ast.Constant) and node.value == "_conj")
+    }
+    assert found == {"partitions.py"}
