@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .partitions import Partition, sc_from_diagonal
+from .partitions import Partition, _sc_from_hooks, sc_from_diagonal
 
 __all__ = [
     "DiagonalSequencePair",
@@ -141,7 +141,8 @@ def delete_principal_hook(sc: Partition) -> Partition:
     """Remove the largest diagonal hook; the weight drops by its length."""
     if not sc:
         raise ValueError("empty partition has no principal hook")
-    return sc_from_diagonal(sc.diagonal_hooks()[1:])
+    # The remaining hooks are still distinct, odd and decreasing.
+    return _sc_from_hooks(sc.diagonal_hooks()[1:])
 
 
 def corresponding_partition_after_deletion(mu: Partition, delta1_class: int) -> Partition:

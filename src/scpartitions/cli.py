@@ -203,9 +203,11 @@ _BOUND_FLAGS = (
 
 
 def _cmd_verify(args) -> int:
-    ids = verify.all_ids() if args.all else [args.theorem]
+    if args.all and args.theorem is not None:
+        raise UsageError("give either a theorem id or --all, not both")
     if not args.all and args.theorem is None:
         raise UsageError("a theorem id or --all is required")
+    ids = verify.all_ids() if args.all else [args.theorem]
     bounds = {field: _nonneg(getattr(args, field), flag) for flag, field, _ in _BOUND_FLAGS}
     budget, copies = ROUND_TRIP_BUDGET, bounds["max_class"] + 1
     overrun = f"would sweep more than {budget} self-conjugate partitions"

@@ -134,18 +134,33 @@ def partition_count(n: int) -> int:
     return _pcounts[n]
 
 
-def _odd_desc(total: int, cap: int) -> Iterator[tuple[int, ...]]:
+def _odd_desc(total: int) -> Iterator[tuple[int, ...]]:
+    # Depth-first over the prefix in stack. first is the candidate for the
+    # next part: the largest odd number below the last part and at most rest.
+    # It is pruned when the distinct odd numbers below it, which sum to at
+    # most half * half, cannot fill what it leaves; then so is every smaller
+    # candidate, and the last part steps down instead.
     if total == 0:
         yield ()
         return
-    first = min(cap, total if total % 2 else total - 1)
-    while first >= 1:
-        rest = total - first
+    stack = []
+    rest = total
+    first = total if total % 2 else total - 1
+    while True:
         half = (first - 1) // 2
-        if rest > half * half:
-            break  # smaller leads only get less room
-        for tail in _odd_desc(rest, first - 2):
-            yield (first,) + tail
+        if first > 0 and rest - first <= half * half:
+            stack.append(first)
+            rest -= first
+            if rest:
+                first -= 2
+                if first > rest:
+                    first = rest if rest % 2 else rest - 1
+                continue
+            yield tuple(stack)
+        if not stack:
+            return
+        first = stack.pop()
+        rest += first
         first -= 2
 
 
@@ -156,7 +171,7 @@ def distinct_odd_decompositions(n: int) -> Iterator[tuple[int, ...]]:
     of n; tuples stream in decreasing lexicographic order.
     """
     _check_nonneg(n)
-    return _odd_desc(n, n)
+    return _odd_desc(n)
 
 
 def self_conjugate_of(n: int) -> Iterator[Partition]:

@@ -4,13 +4,15 @@ Rows and columns of a Young diagram are indexed from 1. A self-conjugate
 partition is determined by its main-diagonal hook lengths, a strictly
 decreasing set of distinct odd positive integers; the functions at the
 bottom of this module convert between the two representations, and a
-partition built from its diagonal hooks carries its conjugate (its own
-parts), so nothing derives it again.
+partition built from its diagonal hooks carries them and its conjugate
+(its own parts), so nothing derives either again.
 
 Hook lengths come from the beads, the first-column hook set B: the hooks
-are the differences x - y with x in B and 0 <= y < x not in B. So the
-hook multiset takes one big-integer step per length up to the largest
-hook, and the disparity depends only on how many beads are odd.
+are the differences x - y with x in B and 0 <= y < x not in B. A
+partition packs its beads once into the bits of one integer, so the hook
+multiset takes one big-integer step per length up to the largest hook,
+the t-core test one shift per modulus, and the disparity depends only on
+how many beads are odd.
 """
 
 from __future__ import annotations
@@ -44,12 +46,6 @@ def check_moduli(ts: Iterable[int]) -> tuple[int, ...]:
     return moduli
 
 
-def _beta_core(beta: set[int], ts: tuple[int, ...]) -> bool:
-    # A partition has no hook divisible by t exactly when its first-column
-    # hook set is closed under subtracting t (abacus criterion).
-    return all(x < t or (x - t) in beta for t in ts for x in beta)
-
-
 class Partition:
     """A partition: weakly decreasing sequence of positive integer parts.
 
@@ -58,7 +54,7 @@ class Partition:
     non-positive entry or an increasing step is rejected.
     """
 
-    __slots__ = ("_parts", "_conj")
+    __slots__ = ("_parts", "_conj", "_hooks", "_beads")
 
     def __init__(self, parts: Iterable[int] = ()):
         try:
@@ -78,17 +74,23 @@ class Partition:
                         f"parts increase at index {i}: {cleaned[i - 1]} < {x}"
                     )
         self._parts = cleaned
-        self._conj = None
+        self._conj = self._hooks = self._beads = None
 
     @classmethod
     def _from_parts(
-        cls, parts: tuple[int, ...], conj: tuple[int, ...] | None = None
+        cls,
+        parts: tuple[int, ...],
+        conj: tuple[int, ...] | None = None,
+        hooks: tuple[int, ...] | None = None,
     ) -> "Partition":
         # Trusted constructor for internally generated, already-canonical
-        # data; conj, when given, must be the conjugate's parts.
+        # data; conj, when given, must be the conjugate's parts, and hooks
+        # the diagonal hooks of a self-conjugate partition.
         self = cls.__new__(cls)
         self._parts = parts
         self._conj = conj
+        self._hooks = hooks
+        self._beads = None
         return self
 
     @property
@@ -175,7 +177,7 @@ class Partition:
         the beads as the bits of one integer, the count is the number of
         bits of beads >> h that are gaps. Only lengths that occur are keys.
         """
-        beads = sum(map((1).__lshift__, self.beta_set()))
+        beads = self._bead_bits()
         gaps = ~beads
         counts = {}
         for h in range(1, beads.bit_length()):
@@ -189,15 +191,24 @@ class Partition:
         ell = len(self._parts)
         return tuple(p + ell - i for i, p in enumerate(self._parts, start=1))
 
+    def _bead_bits(self) -> int:
+        # The beads as the set bits of one integer, packed on first use.
+        if self._beads is None:
+            self._beads = sum(map((1).__lshift__, self.beta_set()))
+        return self._beads
+
     def diagonal_hooks(self) -> tuple[int, ...]:
         """Main-diagonal hook lengths of a self-conjugate partition.
 
-        These are distinct odd integers and determine the partition.
-        Raises ValueError for non-self-conjugate input.
+        These are distinct odd integers and determine the partition. A
+        partition built from them returns them as built; any other derives
+        them once. Raises ValueError for non-self-conjugate input.
         """
-        if not self.is_self_conjugate():
-            raise ValueError(f"partition ({self}) is not self-conjugate")
-        return tuple(2 * self._parts[i] - 2 * i - 1 for i in range(self.durfee_side()))
+        if self._hooks is None:
+            if not self.is_self_conjugate():
+                raise ValueError(f"partition ({self}) is not self-conjugate")
+            self._hooks = tuple(2 * self._parts[i] - 2 * i - 1 for i in range(self.durfee_side()))
+        return self._hooks
 
     def disparity(self) -> int:
         """Number of odd hook lengths minus number of even ones.
@@ -213,8 +224,15 @@ class Partition:
         return surplus * (surplus + 1) // 2
 
     def is_simultaneous_core(self, ts: Iterable[int]) -> bool:
-        """True when the partition is a t-core for every modulus in ts."""
-        return _beta_core(set(self.beta_set()), check_moduli(ts))
+        """True when the partition is a t-core for every modulus in ts.
+
+        By the abacus criterion, a partition has no hook divisible by t
+        exactly when every bead x >= t has x - t as a bead: shifting the
+        beads down by t lands on no gap.
+        """
+        moduli = check_moduli(ts)
+        beads = self._bead_bits()
+        return not any(beads >> t & ~beads for t in moduli)
 
 
 def parse_partition(text: str) -> Partition:
@@ -267,8 +285,8 @@ def _sc_from_hooks(ds: tuple[int, ...]) -> Partition:
         below = head[i - 1]
     parts = tuple(parts)
     # The rows built below the diagonal are the columns right of it, so
-    # the partition is its own conjugate.
-    return Partition._from_parts(parts, parts)
+    # the partition is its own conjugate; it keeps the hooks it came from.
+    return Partition._from_parts(parts, parts, ds)
 
 
 def beta_from_diagonal(deltas: Iterable[int]) -> tuple[int, ...]:

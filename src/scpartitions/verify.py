@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from . import bijection, enumeration, series
-from .partitions import beta_from_diagonal, sc_from_diagonal
+from .partitions import Partition, _sc_from_hooks, beta_from_diagonal
 
 __all__ = ["SweepBounds", "VerificationReport", "CHECKS", "all_ids", "run_check"]
 
@@ -88,7 +88,8 @@ def _first_counterexample(params: dict, *phases, per_case: int = 1):
 
 def _check_lem22(b: SweepBounds):
     def law(deltas):
-        direct = sc_from_diagonal(deltas).beta_set()
+        # The generator's decompositions are distinct, odd and decreasing.
+        direct = _sc_from_hooks(deltas).beta_set()
         derived = beta_from_diagonal(deltas)
         if direct != derived:
             return {
@@ -139,7 +140,9 @@ def _check_thm31(b: SweepBounds):
 
     def mu_law(case):
         mu, m = case
-        image = bijection.phi(bijection.psi(m, mu))
+        # psi's output carries the hooks psi chose; phi must read them back
+        # from its parts, so a fresh Partition derives them.
+        image = bijection.phi(Partition(bijection.psi(m, mu).parts))
         if image.m != m or image.mu != mu:
             return {"mu": str(mu), "class": m, "reason": "phi(psi) round trip"}
 

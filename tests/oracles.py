@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 These deliberately avoid the library's own formulas: conjugation goes
-through an explicit cell set, hooks are counted by walking boxes, and
-the classical sequences come from their recurrences. The core-count
-oracles take every partition (or self-conjugate partition) of each weight
-from the library's generators and test it with its core predicate, so
-they share nothing with the library's search over cores.
+through an explicit cell set, hooks are counted by walking boxes, the
+core test looks beads up in a set, distinct odd decompositions come from
+a recursive walk, and the classical sequences come from their
+recurrences. The core-count oracles take every partition (or
+self-conjugate partition) of each weight from the library's generators
+and test it with its core predicate, so they share nothing with the
+library's search over cores.
 """
 
 from collections import Counter
@@ -48,6 +50,32 @@ def hooks_by_formula(parts):
     for i, row in enumerate(parts, start=1):
         hooks.extend(row + conj[j] - i - j for j in range(row))
     return Counter(hooks)
+
+
+def beta_core(beta, ts):
+    """Set-based abacus test: beta (a set of beads) is closed under subtracting each t."""
+    return all(x < t or (x - t) in beta for t in ts for x in beta)
+
+
+def odd_desc_recursive(total, cap):
+    """Decreasing tuples of distinct odd parts at most cap summing to total.
+
+    The recursive walk, in decreasing lexicographic order: each lead is
+    tried from the largest down, and stops once the distinct odd numbers
+    below it (summing to at most half * half) cannot fill the rest.
+    """
+    if total == 0:
+        yield ()
+        return
+    first = min(cap, total if total % 2 else total - 1)
+    while first >= 1:
+        rest = total - first
+        half = (first - 1) // 2
+        if rest > half * half:
+            break
+        for tail in odd_desc_recursive(rest, first - 2):
+            yield (first,) + tail
+        first -= 2
 
 
 def catalan_by_recurrence(n):

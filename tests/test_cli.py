@@ -194,6 +194,13 @@ class TestVerify:
             cli.main(["verify", "bogus"])
         assert exc.value.code == 2
 
+    def test_theorem_id_with_all_exits_two(self, capsys):
+        # The id would otherwise be dropped and every check run.
+        code, out, err = run(capsys, "verify", "gauss", "--all")
+        assert code == 2
+        assert out == ""
+        assert err == "error: give either a theorem id or --all, not both\n"
+
     @pytest.mark.parametrize(
         "argv, bound",
         [

@@ -36,6 +36,7 @@ from oracles import (
     catalan_by_recurrence,
     cores_by_brute_force,
     motzkin_by_recurrence,
+    odd_desc_recursive,
     partitions_brute,
     sc_counts_by_decomposition,
     sc_cores_by_brute_force,
@@ -111,6 +112,12 @@ class TestSelfConjugateOf:
             assert set(generated) == filtered
             # count equals the number of distinct-odd decompositions of n
             assert len(generated) == sum(1 for _ in distinct_odd_decompositions(n))
+
+    def test_walk_matches_recursive_oracle_up_to_90(self):
+        for n in range(91):
+            walked = distinct_odd_decompositions(n)
+            for flat, recursive in zip(walked, odd_desc_recursive(n, n), strict=True):
+                assert flat == recursive, n
 
     def test_decompositions_stream_decreasing_lex(self):
         for n in range(31):

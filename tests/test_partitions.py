@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +16,7 @@ from scpartitions import (
     self_conjugate_of,
 )
 
-from oracles import hooks_by_cells, hooks_by_formula, transpose_by_cells
+from oracles import beta_core, hooks_by_cells, hooks_by_formula, transpose_by_cells
 
 
 def _parts_up_to(weight):
@@ -226,6 +229,26 @@ class TestDiagonalHooks:
         assert Partition([2, 1]).durfee_side() == 1
         assert Partition().durfee_side() == 0
 
+    def test_parsed_partition_derives_hooks_once(self):
+        p = Partition([4, 4, 4, 3])
+        assert p.diagonal_hooks() is p.diagonal_hooks()
+        # A refused partition stores nothing and is refused again.
+        q = Partition([2])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="self-conjugate"):
+                q.diagonal_hooks()
+
+    def test_carried_hooks_and_beads_match_a_fresh_partition_up_to_40(self):
+        # A built partition returns the hooks it was built from and packs its
+        # beads from its own parts; a fresh Partition derives both again.
+        for n in range(41):
+            for sc in self_conjugate_of(n):
+                fresh = Partition(sc.parts)
+                assert sc.diagonal_hooks() == fresh.diagonal_hooks(), sc
+                beads = sum(1 << x for x in fresh.beta_set())
+                assert sc._bead_bits() == fresh._bead_bits() == beads, sc
+                assert sc._bead_bits() is sc._bead_bits()
+
     def test_reconstruction_examples(self):
         assert sc_from_diagonal([7, 5, 3]).parts == (4, 4, 4, 3)
         assert sc_from_diagonal([]) == Partition()
@@ -251,7 +274,7 @@ class TestDiagonalHooks:
                 sc = sc_from_diagonal(deltas)
                 assert sc.parts == transpose_by_cells(sc.parts), deltas
                 assert sc.weight == n
-                assert sc.diagonal_hooks() == deltas
+                assert Partition(sc.parts).diagonal_hooks() == deltas
 
     def test_round_trip_up_to_60(self):
         from scpartitions import distinct_odd_decompositions
@@ -261,7 +284,7 @@ class TestDiagonalHooks:
                 sc = sc_from_diagonal(deltas)
                 assert sc.weight == n
                 assert Partition(sc.parts).is_self_conjugate()
-                assert sc.diagonal_hooks() == deltas
+                assert Partition(sc.parts).diagonal_hooks() == deltas
 
 
 class TestBetaFromDiagonal:
@@ -342,6 +365,17 @@ class TestCores:
         assert Partition().is_simultaneous_core((1,))
         for n in range(1, 8):
             assert not any(p.is_simultaneous_core((1,)) for p in partitions_of(n))
+
+    def test_shift_test_matches_set_oracle_up_to_20(self):
+        # The shift on the packed beads against bead lookups in a set.
+        rng = random.Random(0)
+        ts_sets = [(t,) for t in range(1, 13)] + list(combinations(range(1, 13), 2))
+        ts_sets += [tuple(rng.sample(range(1, 13), k)) for k in (3, 4, 6) for _ in range(8)]
+        for n in range(21):
+            for p in partitions_of(n):
+                beads = set(p.beta_set())
+                for ts in ts_sets:
+                    assert p.is_simultaneous_core(ts) == beta_core(beads, ts), (p, ts)
 
     def test_against_hook_divisibility_up_to_28(self):
         # The fast first-column test must match the definition verbatim.

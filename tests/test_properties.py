@@ -14,9 +14,7 @@ from scpartitions import (
     sc_from_diagonal,
     self_conjugate_of,
 )
-from scpartitions.partitions import _beta_core
-
-from oracles import hooks_by_cells
+from oracles import beta_core, hooks_by_cells
 
 
 partitions = st.lists(st.integers(1, 15), max_size=12).map(
@@ -48,7 +46,7 @@ def test_beta_set_strictly_decreasing(p):
 def test_diagonal_round_trip(deltas):
     sc = sc_from_diagonal(deltas)
     assert Partition(sc.parts).is_self_conjugate()
-    assert sc.diagonal_hooks() == deltas
+    assert Partition(sc.parts).diagonal_hooks() == deltas
     assert sc.weight == sum(deltas)
 
 
@@ -138,7 +136,7 @@ def hook_nodes(draw):
     """(diagonal hooks, their add_hook node, ascending moduli the partition is a core for)."""
     deltas = draw(odd_sets)
     beads = frozenset(beta_from_diagonal(deltas))
-    cores_for = [t for t in range(1, 45) if _beta_core(beads, (t,))]
+    cores_for = [t for t in range(1, 45) if beta_core(beads, (t,))]
     moduli = draw(st.lists(st.sampled_from(cores_for), min_size=1, max_size=3))
     return deltas, (deltas[0] if deltas else -1, beads), tuple(sorted(set(moduli)))
 
@@ -151,6 +149,6 @@ def test_add_hook_yields_exactly_the_core_children(case, room):
     expected = []
     for delta in range(node[0] + 2, room + 1, 2):
         beads = frozenset(beta_from_diagonal((delta,) + deltas))
-        if _beta_core(beads, moduli):
+        if beta_core(beads, moduli):
             expected.append(((delta, beads), delta))
     assert list(add_hook(node, room, moduli)) == expected

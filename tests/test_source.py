@@ -86,13 +86,19 @@ def test_no_count_function_walks_the_generators():
 
 
 def test_only_partitions_sets_a_known_conjugate():
-    # A Partition trusts its _conj slot as its conjugate's parts, so only
-    # partitions.py may store it or name it in a string (setattr).
+    # A Partition trusts its _conj, _hooks and _beads slots as its
+    # conjugate's parts, its diagonal hooks and its packed beads, so only
+    # partitions.py may store them or name them in a string (setattr).
+    trusted = {"_conj", "_hooks", "_beads"}
     found = {
         path.name
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if (isinstance(node, ast.Attribute) and node.attr == "_conj" and isinstance(node.ctx, ast.Store))
-        or (isinstance(node, ast.Constant) and node.value == "_conj")
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in trusted
+            and isinstance(node.ctx, ast.Store)
+        )
+        or (isinstance(node, ast.Constant) and node.value in trusted)
     }
     assert found == {"partitions.py"}

@@ -288,3 +288,24 @@ def test_first_counterexample_stops_and_counts(
     assert not report.passed
     assert report.cases == cases
     assert report.counterexample == counterexample
+
+
+def test_thm31_mu_side_catches_a_builder_that_keeps_its_hooks(monkeypatch):
+    # A builder that records the hooks it was given but lays out other parts.
+    # phi on psi's output would read those hooks back and round-trip; the mu
+    # side must derive the hooks from the parts. Only weights above 40 are
+    # wrong, which max_weight=0 leaves to the mu side (weights up to 69).
+    from scpartitions import partitions
+
+    build = partitions._sc_from_hooks
+
+    def faulty(ds):
+        if sum(ds) <= 40 or len(ds) < 2:
+            return build(ds)
+        wrong = build(ds[:1] + ds[2:]).parts
+        return Partition._from_parts(wrong, wrong, ds)
+
+    monkeypatch.setattr(partitions, "_sc_from_hooks", faulty)
+    report = verify.run_check("thm3.1", max_weight=0)
+    assert not report.passed
+    assert report.counterexample["reason"] == "phi(psi) round trip"
