@@ -85,29 +85,43 @@ def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, each exactly once, in reverse lexicographic order.
 
     The first is the single row (n), the last the single column; there
-    are p(n) of them.
+    are p(n) of them. This is Zoghbi and Stojmenovic's ZS1 (1998). The
+    array starts as n ones, and every part after the last part above 1,
+    x[h], stays 1. A 2 there becomes a 1. A larger x[h] drops to r =
+    x[h] - 1, and the ones after it, with the unit it gave up, are laid
+    out again as parts r and one smaller remainder; no step scans the
+    trailing ones.
     """
     _check_nonneg(n)
     if n == 0:
         yield Partition()
         return
-    stack = [n]
-    while True:
-        yield Partition._from_parts(tuple(stack))
-        i = len(stack) - 1
-        while i >= 0 and stack[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        m = len(stack) - i
-        del stack[i + 1 :]
-        stack[i] -= 1
-        cap = stack[i]
-        while m > 0:
-            c = min(cap, m)
-            stack.append(c)
-            cap = c
-            m -= c
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0  # m parts; x[h] is the last part above 1, and x[h + 1:] are all 1
+    from_parts = Partition._from_parts
+    yield from_parts((n,))
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h  # the ones after x[h], plus the unit it gives up
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield from_parts(tuple(x[:m]))
 
 
 _pcounts = [1]

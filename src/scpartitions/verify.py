@@ -3,6 +3,12 @@
 Each registered check sweeps a bounded input range, stops at the first
 counterexample, and reports the swept parameters so a failure can be
 replayed through the library directly. All comparisons are exact.
+
+Seven checks are laws about one self-conjugate partition and its image
+under phi. Each is a row (_Law) of one walk over those partitions
+(_walk): run_checks builds every partition once, maps it once for all
+the rows that read the image, and retires each row at its first
+counterexample, so a row reports what it would report alone.
 """
 
 from __future__ import annotations
@@ -10,11 +16,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import bijection, enumeration, series
-from .partitions import Partition, _sc_from_hooks, beta_from_diagonal
+from .partitions import Partition, beta_from_diagonal
 
-__all__ = ["SweepBounds", "VerificationReport", "CHECKS", "all_ids", "run_check"]
+__all__ = ["SweepBounds", "VerificationReport", "CHECKS", "all_ids", "run_check", "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -60,11 +67,6 @@ class VerificationReport:
         return line
 
 
-def _iter_sc(max_weight: int):
-    for n in range(max_weight + 1):
-        yield from enumeration.self_conjugate_of(n)
-
-
 def _triangular(m: int) -> int:
     return m * (m + 1) // 2
 
@@ -86,59 +88,63 @@ def _first_counterexample(params: dict, *phases, per_case: int = 1):
     return params, cases, None
 
 
-def _check_lem22(b: SweepBounds):
-    def law(deltas):
-        # The generator's decompositions are distinct, odd and decreasing.
-        direct = _sc_from_hooks(deltas).beta_set()
-        derived = beta_from_diagonal(deltas)
-        if direct != derived:
-            return {
-                "diagonal": ",".join(map(str, deltas)),
-                "beta_direct": list(direct),
-                "beta_derived": list(derived),
-            }
+class _Law(NamedTuple):
+    """A per-partition law, one row of the walk (see _walk).
 
-    decompositions = (
-        deltas
-        for n in range(b.max_weight + 1)
-        for deltas in enumeration.distinct_odd_decompositions(n)
-    )
-    return _first_counterexample({"max_weight": b.max_weight}, (decompositions, law))
+    law(sc, image) runs on every self-conjugate partition sc of weight
+    min_weight..max_weight, with image = phi(sc) when reads_image and None
+    otherwise. It returns None when sc holds, else the counterexample
+    payload; a law with per_case > 1 checks that many cases per partition
+    and returns (cases run, the failing one included; payload). after(b),
+    when given, is a phase (cases, law) run once the walk has passed.
+    params(b) gives the report's params.
+    """
 
-
-def _check_prop23(b: SweepBounds):
-    def law(sc):
-        m = bijection.classify(sc)
-        dp = sc.disparity()
-        if dp != _triangular(m):
-            return {
-                "partition": str(sc),
-                "class": m,
-                "disparity": dp,
-                "expected": _triangular(m),
-            }
-
-    return _first_counterexample({"max_weight": b.max_weight}, (_iter_sc(b.max_weight), law))
+    law: Callable
+    reads_image: bool
+    params: Callable = lambda b: {"max_weight": b.max_weight}
+    min_weight: int = 0
+    per_case: int = 1
+    after: Callable | None = None
 
 
-def _check_thm31(b: SweepBounds):
-    params = {
-        "max_weight": b.max_weight,
-        "max_mu_weight": b.max_mu_weight,
-        "max_class": b.max_class,
-    }
+def _lem22(sc, image):
+    # Direct: the built partition's first column. Derived: from its hooks alone.
+    hooks = sc.diagonal_hooks()
+    direct = sc.beta_set()
+    derived = beta_from_diagonal(hooks)
+    if direct != derived:
+        return {
+            "diagonal": ",".join(map(str, hooks)),
+            "beta_direct": list(direct),
+            "beta_derived": list(derived),
+        }
 
-    def sc_law(sc):
-        m, mu = bijection.phi(sc)
-        if sc.weight != 4 * mu.weight + _triangular(m):
-            reason = "weight law"
-        elif bijection.psi(m, mu) != sc:
-            reason = "psi(phi) round trip"
-        else:
-            return None
-        return {"partition": str(sc), "class": m, "mu": str(mu), "reason": reason}
 
-    def mu_law(case):
+def _prop23(sc, image):
+    m = bijection.classify(sc)
+    dp = sc.disparity()
+    if dp != _triangular(m):
+        return {"partition": str(sc), "class": m, "disparity": dp, "expected": _triangular(m)}
+
+
+def _thm31(sc, image):
+    m, mu = image
+    if sc.weight != 4 * mu.weight + _triangular(m):
+        reason = "weight law"
+    elif bijection.psi(m, mu) != sc:
+        reason = "psi(phi) round trip"
+    else:
+        return None
+    return {"partition": str(sc), "class": m, "mu": str(mu), "reason": reason}
+
+
+def _thm31_params(b: SweepBounds) -> dict:
+    return {"max_weight": b.max_weight, "max_mu_weight": b.max_mu_weight, "max_class": b.max_class}
+
+
+def _thm31_mu_side(b: SweepBounds):
+    def law(case):
         mu, m = case
         # psi's output carries the hooks psi chose; phi must read them back
         # from its parts, so a fresh Partition derives them.
@@ -152,7 +158,83 @@ def _check_thm31(b: SweepBounds):
         for mu in enumeration.partitions_of(w)
         for m in range(b.max_class + 1)
     )
-    return _first_counterexample(params, (_iter_sc(b.max_weight), sc_law), (images, mu_law))
+    return images, law
+
+
+def _prop42(sc, image):
+    mu = image.mu
+    top = sc.diagonal_hooks()[0]
+    expected = mu.conjugate().beta_set() if top % 4 == 1 else mu.beta_set()
+    got = bijection.half_even_beta(sc)
+    if got != expected:
+        return {
+            "partition": str(sc),
+            "half_even_beta": list(got),
+            "expected": list(expected),
+            "principal_hook_residue": top % 4,
+        }
+
+
+def _thm44(sc, image):
+    mu = image.mu
+    sc_hooks = sc.hook_multiset()
+    mu_hooks = mu.hook_multiset()
+    evens = {h // 2: c for h, c in sc_hooks.items() if h % 2 == 0}
+    doubled = {k: 2 * c for k, c in mu_hooks.items()}
+    if evens != doubled:
+        diff = sorted(set(evens) | set(doubled))
+        k = next(x for x in diff if evens.get(x, 0) != doubled.get(x, 0))
+        return {
+            "partition": str(sc),
+            "mu": str(mu),
+            "k": k,
+            "even_hooks_at_2k": evens.get(k, 0),
+            "twice_mu_hooks_at_k": doubled.get(k, 0),
+        }
+    odd_count = sum(c for h, c in sc_hooks.items() if h % 2)
+    if odd_count != sc.weight - 2 * mu.weight:
+        return {
+            "partition": str(sc),
+            "odd_hooks": odd_count,
+            "expected": sc.weight - 2 * mu.weight,
+        }
+
+
+def _prop44(sc, image):
+    mu = image.mu
+    top = sc.diagonal_hooks()[0]
+    shortcut = bijection.corresponding_partition_after_deletion(mu, top % 4)
+    direct = bijection.phi(bijection.delete_principal_hook(sc)).mu
+    if shortcut != direct:
+        return {
+            "partition": str(sc),
+            "mu": str(mu),
+            "after_deletion": str(shortcut),
+            "expected": str(direct),
+        }
+
+
+_CORE_EQUIV_MODULI = ((2,), (3,), (2, 3), (3, 4))
+_DOUBLED_MODULI = tuple((ts, tuple(2 * t for t in ts)) for ts in _CORE_EQUIV_MODULI)
+
+
+def _cor45_params(b: SweepBounds) -> dict:
+    return {"max_weight": b.max_weight, "moduli": [list(ts) for ts in _CORE_EQUIV_MODULI]}
+
+
+def _cor45(sc, image):
+    mu = image.mu
+    for k, (ts, doubled) in enumerate(_DOUBLED_MODULI, start=1):
+        lhs = sc.is_simultaneous_core(doubled)
+        rhs = mu.is_simultaneous_core(ts)
+        if lhs != rhs:
+            return k, {
+                "partition": str(sc),
+                "mu": str(mu),
+                "moduli": list(ts),
+                "sc_is_doubled_core": lhs,
+                "mu_is_core": rhs,
+            }
 
 
 def _check_prop34(b: SweepBounds):
@@ -196,94 +278,6 @@ def _check_lem41(b: SweepBounds):
 
     images = (mu for w in range(1, cap + 1) for mu in enumeration.partitions_of(w))
     return _first_counterexample({"max_mu_weight": cap}, (images, law))
-
-
-def _check_prop42(b: SweepBounds):
-    def law(sc):
-        mu = bijection.phi(sc).mu
-        top = sc.diagonal_hooks()[0]
-        expected = mu.conjugate().beta_set() if top % 4 == 1 else mu.beta_set()
-        got = bijection.half_even_beta(sc)
-        if got != expected:
-            return {
-                "partition": str(sc),
-                "half_even_beta": list(got),
-                "expected": list(expected),
-                "principal_hook_residue": top % 4,
-            }
-
-    nonempty = (sc for sc in _iter_sc(b.max_weight) if sc)
-    return _first_counterexample({"max_weight": b.max_weight}, (nonempty, law))
-
-
-def _check_thm44(b: SweepBounds):
-    def law(sc):
-        mu = bijection.phi(sc).mu
-        sc_hooks = sc.hook_multiset()
-        mu_hooks = mu.hook_multiset()
-        evens = {h // 2: c for h, c in sc_hooks.items() if h % 2 == 0}
-        doubled = {k: 2 * c for k, c in mu_hooks.items()}
-        if evens != doubled:
-            diff = sorted(set(evens) | set(doubled))
-            k = next(x for x in diff if evens.get(x, 0) != doubled.get(x, 0))
-            return {
-                "partition": str(sc),
-                "mu": str(mu),
-                "k": k,
-                "even_hooks_at_2k": evens.get(k, 0),
-                "twice_mu_hooks_at_k": doubled.get(k, 0),
-            }
-        odd_count = sum(c for h, c in sc_hooks.items() if h % 2)
-        if odd_count != sc.weight - 2 * mu.weight:
-            return {
-                "partition": str(sc),
-                "odd_hooks": odd_count,
-                "expected": sc.weight - 2 * mu.weight,
-            }
-
-    return _first_counterexample({"max_weight": b.max_weight}, (_iter_sc(b.max_weight), law))
-
-
-def _check_prop44(b: SweepBounds):
-    def law(sc):
-        mu = bijection.phi(sc).mu
-        top = sc.diagonal_hooks()[0]
-        shortcut = bijection.corresponding_partition_after_deletion(mu, top % 4)
-        direct = bijection.phi(bijection.delete_principal_hook(sc)).mu
-        if shortcut != direct:
-            return {
-                "partition": str(sc),
-                "mu": str(mu),
-                "after_deletion": str(shortcut),
-                "expected": str(direct),
-            }
-
-    nonempty = (sc for sc in _iter_sc(b.max_weight) if sc)
-    return _first_counterexample({"max_weight": b.max_weight}, (nonempty, law))
-
-
-_CORE_EQUIV_MODULI = ((2,), (3,), (2, 3), (3, 4))
-
-
-def _check_cor45(b: SweepBounds):
-    params = {"max_weight": b.max_weight, "moduli": [list(ts) for ts in _CORE_EQUIV_MODULI]}
-
-    def law(case):
-        sc, mu, ts = case
-        lhs = sc.is_simultaneous_core([2 * t for t in ts])
-        rhs = mu.is_simultaneous_core(ts)
-        if lhs != rhs:
-            return {
-                "partition": str(sc),
-                "mu": str(mu),
-                "moduli": list(ts),
-                "sc_is_doubled_core": lhs,
-                "mu_is_core": rhs,
-            }
-
-    pairs = ((sc, bijection.phi(sc).mu) for sc in _iter_sc(b.max_weight))
-    cases = ((sc, mu, ts) for sc, mu in pairs for ts in _CORE_EQUIV_MODULI)
-    return _first_counterexample(params, (cases, law))
 
 
 _SIM_PAIRS = ((4, 6), (6, 8))
@@ -479,15 +473,29 @@ def _check_ringlaws(b: SweepBounds):
 
 
 CHECKS = {
-    "lem2.2": ("first-column hook set rebuilt from diagonal hooks", _check_lem22),
-    "prop2.3": ("disparity equals the class triangular number", _check_prop23),
-    "thm3.1": ("class-m correspondence round trips both ways", _check_thm31),
+    "lem2.2": ("first-column hook set rebuilt from diagonal hooks", _Law(_lem22, False)),
+    "prop2.3": ("disparity equals the class triangular number", _Law(_prop23, False)),
+    "thm3.1": (
+        "class-m correspondence round trips both ways",
+        _Law(_thm31, True, _thm31_params, after=_thm31_mu_side),
+    ),
     "prop3.4": ("class-m self-conjugate counts reduce to p(k)", _check_prop34),
     "lem4.1": ("corner-hook differences complement the first-row hooks", _check_lem41),
-    "prop4.2": ("half-even first-column hooks match the image partition", _check_prop42),
-    "thm4.4": ("even hooks 2k appear twice as often as image hooks k", _check_thm44),
-    "prop4.4": ("principal-hook deletion commutes with the correspondence", _check_prop44),
-    "cor4.5": ("doubled-modulus cores correspond to cores of the image", _check_cor45),
+    "prop4.2": (
+        "half-even first-column hooks match the image partition",
+        _Law(_prop42, True, min_weight=1),
+    ),
+    "thm4.4": (
+        "even hooks 2k appear twice as often as image hooks k", _Law(_thm44, True)
+    ),
+    "prop4.4": (
+        "principal-hook deletion commutes with the correspondence",
+        _Law(_prop44, True, min_weight=1),
+    ),
+    "cor4.5": (
+        "doubled-modulus cores correspond to cores of the image",
+        _Law(_cor45, True, _cor45_params, per_case=4),
+    ),
     "prop4.6": ("class-m simultaneous-core counts reduce to ordinary ones", _check_prop46),
     "cor4.8": ("Catalan/Motzkin totals for consecutive even moduli", _check_cor48),
     "eq1.1": ("t-core counting series equals its product expansion", _check_eq11),
@@ -504,20 +512,117 @@ def all_ids() -> list[str]:
     return list(CHECKS)
 
 
+def _report(theorem: str, params: dict, cases: int, counterexample, seconds: float):
+    passed = counterexample is None and cases > 0
+    return VerificationReport(theorem, passed, params, cases, counterexample, seconds * 1000.0)
+
+
+def _walk(rows: dict, b: SweepBounds) -> dict:
+    """One walk over the self-conjugate partitions for the rows {theorem: _Law}.
+
+    Weights go up from 0 to b.max_weight. Each partition is built once and
+    mapped by phi at most once, and only while a live row reads the image.
+    A row retires at its first counterexample, and the walk stops once
+    every row has. A row's time is its own law's plus, per partition, an
+    equal share of the build and phi among the rows live there; a weight
+    with one live row runs a loop without a clock per partition, which
+    keeps run_check as fast as a hand-written sweep.
+    Returns {theorem: report}.
+    """
+    theorems, laws = list(rows), list(rows.values())
+    cases, spent, found = [0] * len(laws), [0.0] * len(laws), [None] * len(laws)
+    active = list(range(len(laws)))
+    clock, phi = time.perf_counter, bijection.phi
+
+    def retire(i, payload):
+        if laws[i].per_case > 1:
+            # The law names how many of its cases ran on the failing partition.
+            ran, payload = payload
+            cases[i] += ran - laws[i].per_case
+        found[i] = payload
+        active.remove(i)
+
+    for n in range(b.max_weight + 1):
+        if not active:
+            break
+        live = [(i, laws[i].law, laws[i].per_case) for i in active if laws[i].min_weight <= n]
+        if not live:
+            continue
+        reads_image = any(laws[i].reads_image for i, _, _ in live)
+        partitions = enumeration.self_conjugate_of(n)
+        mark = clock()
+        if len(live) == 1:
+            # A lone row takes the whole time, so its partitions need no clock.
+            [(i, law, per_case)] = live
+            for sc in partitions:
+                cases[i] += per_case
+                payload = law(sc, phi(sc) if reads_image else None)
+                if payload is not None:
+                    retire(i, payload)
+                    break
+            spent[i] += clock() - mark
+            continue
+        for sc in partitions:
+            image = phi(sc) if reads_image else None
+            now = clock()
+            share = (now - mark) / len(live)
+            mark = now
+            retired = False
+            for i, law, per_case in live:
+                cases[i] += per_case
+                payload = law(sc, image)
+                now = clock()
+                spent[i] += now - mark + share
+                mark = now
+                if payload is not None:
+                    retire(i, payload)
+                    retired = True
+            if retired:
+                # The rest of the weight goes on without the retired rows.
+                live = [row for row in live if row[0] in active]
+                if not live:
+                    break
+                reads_image = any(laws[i].reads_image for i, _, _ in live)
+    for i in active:
+        if laws[i].after is not None:
+            start = clock()
+            _, ran, found[i] = _first_counterexample(None, laws[i].after(b))
+            cases[i] += ran
+            spent[i] += clock() - start
+    return {
+        t: _report(t, law.params(b), cases[i], found[i], spent[i])
+        for i, (t, law) in enumerate(zip(theorems, laws))
+    }
+
+
+def _law_rows(theorems) -> dict:
+    """{theorem: _Law} for the per-partition laws among theorems, the rows
+    of the walk; raises KeyError for an unknown id."""
+    for theorem in theorems:
+        if theorem not in CHECKS:
+            raise KeyError(f"unknown check id: {theorem!r}")
+    return {t: CHECKS[t][1] for t in theorems if isinstance(CHECKS[t][1], _Law)}
+
+
 def run_check(theorem: str, **overrides) -> VerificationReport:
-    """Run one registered check; raises KeyError for an unknown id."""
-    if theorem not in CHECKS:
-        raise KeyError(f"unknown check id: {theorem!r}")
+    """Run one registered check, a per-partition law as a walk with one
+    row; raises KeyError for an unknown id."""
+    rows = _law_rows([theorem])
     bounds = SweepBounds(**overrides)
-    _, checker = CHECKS[theorem]
+    if rows:
+        return _walk(rows, bounds)[theorem]
     start = time.perf_counter()
-    params, cases, counterexample = checker(bounds)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(
-        theorem=theorem,
-        passed=counterexample is None and cases > 0,
-        params=params,
-        cases=cases,
-        counterexample=counterexample,
-        elapsed_ms=elapsed_ms,
-    )
+    params, cases, counterexample = CHECKS[theorem][1](bounds)
+    return _report(theorem, params, cases, counterexample, time.perf_counter() - start)
+
+
+def run_checks(theorems: list[str], **overrides) -> list[VerificationReport]:
+    """Run registered checks and return their reports in the order given.
+
+    The per-partition laws among them share one walk (_walk), run first;
+    every other check then runs through run_check, one by one in the order
+    given, so each stays a separately timed call. Raises KeyError for an
+    unknown id before any check runs.
+    """
+    walked = _walk(_law_rows(theorems), SweepBounds(**overrides))
+    return [walked[t] if t in walked else run_check(t, **overrides) for t in theorems]

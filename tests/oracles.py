@@ -3,11 +3,11 @@
 These deliberately avoid the library's own formulas: conjugation goes
 through an explicit cell set, hooks are counted by walking boxes, the
 core test looks beads up in a set, distinct odd decompositions come from
-a recursive walk, and the classical sequences come from their
-recurrences. The core-count oracles take every partition (or
-self-conjugate partition) of each weight from the library's generators
-and test it with its core predicate, so they share nothing with the
-library's search over cores.
+a recursive walk, partitions from a stack walk, and the classical
+sequences come from their recurrences. The core-count oracles take every
+partition (or self-conjugate partition) of each weight from the
+library's generators and test it with its core predicate, so they share
+nothing with the library's search over cores.
 """
 
 from collections import Counter
@@ -76,6 +76,34 @@ def odd_desc_recursive(total, cap):
         for tail in odd_desc_recursive(rest, first - 2):
             yield (first,) + tail
         first -= 2
+
+
+def partitions_by_stack(n):
+    """Partitions of n as tuples, in reverse lexicographic order.
+
+    The stack walk: find the last part above 1, lower it by one, and
+    refill what it and the ones after it held with parts no larger.
+    """
+    if n == 0:
+        yield ()
+        return
+    stack = [n]
+    while True:
+        yield tuple(stack)
+        i = len(stack) - 1
+        while i >= 0 and stack[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        m = len(stack) - i
+        del stack[i + 1 :]
+        stack[i] -= 1
+        cap = stack[i]
+        while m > 0:
+            c = min(cap, m)
+            stack.append(c)
+            cap = c
+            m -= c
 
 
 def catalan_by_recurrence(n):

@@ -180,6 +180,22 @@ class TestSeries:
         code, _, err = run(capsys, "series", "--kind", "core_gf", "--order", "4")
         assert code == 2
 
+    def test_order_limit(self, capsys):
+        # Above the limit the builder never starts; at it, the series is built.
+        limit = cli.ORDER_LIMIT
+        assert limit == 2000
+        start = time.perf_counter()
+        code, out, err = run(capsys, "series", "--kind", "core_gf", "--t", "5", "--order", "2001")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --order 2001 would expand series past q^2000;"
+            " the largest --order admitted is 2000\n"
+        )
+        code, out, _ = run(capsys, "series", "--kind", "triangular", "--order", str(limit))
+        assert code == 0
+        assert len(json.loads(out)["coefficients"]) == limit + 1
+
 
 class TestVerify:
     def test_single_pass(self, capsys):
@@ -217,6 +233,22 @@ class TestVerify:
         # The message names the flag as typed, not the SweepBounds field it sets.
         assert err == f"error: {argv[1]} must be >= 0, got {argv[2]}\n"
         assert not err.startswith(f"error: {bound}")
+
+    def test_order_limit(self, capsys, monkeypatch):
+        def no_checks(theorems, **bounds):
+            raise AssertionError("a check ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.verify, "run_checks", no_checks)
+            code, out, err = run(capsys, "verify", "eq1.1", "--order", "2001")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --order 2001 would expand series past q^2000;"
+            " the largest --order admitted is 2000\n"
+        )
+        code, out, err = run(capsys, "verify", "gauss", "--order", str(cli.ORDER_LIMIT))
+        assert code == 0
+        assert json.loads(out)["params"] == {"order": 2000}
 
     def test_round_trip_budget_refuses_before_any_check(self, capsys):
         start = time.perf_counter()
@@ -272,17 +304,20 @@ class TestVerify:
         assert "prop4.2: FAIL" in err
 
     def test_failure_exits_one_with_counterexample(self, capsys, monkeypatch):
-        def fake_run_check(theorem, **bounds):
-            return VerificationReport(
-                theorem=theorem,
-                passed=False,
-                params={},
-                cases=1,
-                counterexample={"partition": "2,1"},
-                elapsed_ms=0.1,
-            )
+        def fake_run_checks(theorems, **bounds):
+            return [
+                VerificationReport(
+                    theorem=theorem,
+                    passed=False,
+                    params={},
+                    cases=1,
+                    counterexample={"partition": "2,1"},
+                    elapsed_ms=0.1,
+                )
+                for theorem in theorems
+            ]
 
-        monkeypatch.setattr(cli.verify, "run_check", fake_run_check)
+        monkeypatch.setattr(cli.verify, "run_checks", fake_run_checks)
         code, out, err = run(capsys, "verify", "prop2.3")
         assert code == 1
         obj = json.loads(out)

@@ -38,6 +38,7 @@ from oracles import (
     motzkin_by_recurrence,
     odd_desc_recursive,
     partitions_brute,
+    partitions_by_stack,
     sc_counts_by_decomposition,
     sc_cores_by_brute_force,
     transpose_by_cells,
@@ -66,6 +67,12 @@ class TestPartitionsOf:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             list(partitions_of(-1))
+
+    def test_matches_stack_walk_up_to_40(self):
+        for n in range(41):
+            zs1 = (p.parts for p in partitions_of(n))
+            for got, walked in zip(zs1, partitions_by_stack(n), strict=True):
+                assert got == walked, n
 
     def test_generator_soundness_up_to_60(self):
         for n in range(61):

@@ -102,3 +102,24 @@ def test_only_partitions_sets_a_known_conjugate():
         or (isinstance(node, ast.Constant) and node.value in trusted)
     }
     assert found == {"partitions.py"}
+
+
+def test_verify_walks_the_self_conjugate_partitions_at_one_site():
+    # The per-partition laws are rows of one walk: verify.py names a
+    # self-conjugate generator only in _walk, and there only once.
+    path = Path(scpartitions.__file__).parent / "verify.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    generators = {"self_conjugate_of", "distinct_odd_decompositions", "_odd_desc"}
+    sites = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names = [node.attr]
+            else:
+                continue
+            sites += [(getattr(top, "name", None), name) for name in names if name in generators]
+    assert sites == [("_walk", "self_conjugate_of")]

@@ -309,3 +309,94 @@ def test_thm31_mu_side_catches_a_builder_that_keeps_its_hooks(monkeypatch):
     report = verify.run_check("thm3.1", max_weight=0)
     assert not report.passed
     assert report.counterexample["reason"] == "phi(psi) round trip"
+
+
+# The checks whose laws run per self-conjugate partition, as rows of one walk.
+PER_PARTITION = ("lem2.2", "prop2.3", "thm3.1", "prop4.2", "thm4.4", "prop4.4", "cor4.5")
+
+
+def _untimed(report):
+    return {k: v for k, v in report.to_json_dict().items() if k != "elapsed_ms"}
+
+
+def test_run_checks_matches_run_check_per_id():
+    shared = verify.run_checks(verify.all_ids(), **SMALL)
+    assert [r.theorem for r in shared] == verify.all_ids()
+    solo = [verify.run_check(t, **SMALL) for t in verify.all_ids()]
+    assert [_untimed(r) for r in shared] == [_untimed(r) for r in solo]
+
+
+def test_run_checks_rejects_an_unknown_id_before_any_check_runs(monkeypatch):
+    monkeypatch.setattr(verify, "_walk", None)
+    monkeypatch.setattr(verify, "run_check", None)
+    with pytest.raises(KeyError, match="no-such-check"):
+        verify.run_checks(["prop2.3", "gauss", "no-such-check"])
+
+
+@pytest.mark.parametrize(
+    "theorem, target, defect, bounds, cases, counterexample",
+    [row for row in DEFECT_TABLE if row[0] in PER_PARTITION],
+)
+def test_a_failing_row_neither_shortens_nor_pads_another(
+    monkeypatch, theorem, target, defect, bounds, cases, counterexample
+):
+    # With one law broken, the shared walk gives every row the report it
+    # gets on its own under the same defect, and the broken row stops where
+    # its DEFECT_TABLE entry says.
+    owner, name = target
+    monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
+    shared = verify.run_checks(PER_PARTITION, **bounds)
+    solo = [verify.run_check(t, **bounds) for t in PER_PARTITION]
+    assert [_untimed(r) for r in shared] == [_untimed(r) for r in solo]
+    failing = shared[PER_PARTITION.index(theorem)]
+    assert (failing.cases, failing.counterexample) == (cases, counterexample)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_walk_maps_each_partition_once_and_only_for_rows_that_read_the_image(monkeypatch):
+    calls = _counting(monkeypatch, verify.bijection, "phi")
+    assert all(r.passed for r in verify.run_checks(["lem2.2", "prop2.3"], max_weight=20))
+    assert calls == []
+    reports = verify.run_checks(["prop2.3", "thm4.4", "cor4.5", "prop4.2"], max_weight=20)
+    assert all(r.passed for r in reports)
+    walked = reports[0].cases
+    assert walked == sum(verify.enumeration.sc_count_table(20).rows)
+    assert len(calls) == walked
+    assert len({id(sc) for (sc,) in calls}) == walked
+    # A lone row runs the walk's clockless loop, under the same rule.
+    calls.clear()
+    assert verify.run_check("prop2.3", max_weight=20).cases == walked
+    assert calls == []
+    assert verify.run_check("thm4.4", max_weight=20).cases == walked
+    assert len(calls) == walked
+
+
+def test_a_lone_row_is_timed():
+    # run_check's one-row loop has no clock per partition; the row still
+    # takes the whole walk's time.
+    report = verify.run_check("lem2.2", max_weight=20)
+    assert report.elapsed_ms > 0
+
+
+def test_walk_stops_once_every_row_has_retired(monkeypatch):
+    # prop2.3's defect fails at weight 9 and lem2.2's at weight 8; no later
+    # weight is built, however large max_weight is.
+    rows = {row[0]: row for row in DEFECT_TABLE}
+    for theorem in ("prop2.3", "lem2.2"):
+        owner, name = rows[theorem][1]
+        monkeypatch.setattr(owner, name, rows[theorem][2](getattr(owner, name)))
+    weights = _counting(monkeypatch, verify.enumeration, "self_conjugate_of")
+    reports = verify.run_checks(["prop2.3", "lem2.2"], max_weight=157)
+    assert [r.cases for r in reports] == [10, 8]
+    assert weights == [(n,) for n in range(10)]
