@@ -5,10 +5,7 @@ counterexample, and reports the swept parameters so a failure can be
 replayed through the library directly. All comparisons are exact.
 
 Seven checks are laws about one self-conjugate partition and its image
-under phi. Each is a row (_Law) of one walk over those partitions
-(_walk): run_checks builds every partition once, maps it once for all
-the rows that read the image, and retires each row at its first
-counterexample, so a row reports what it would report alone.
+under phi: rows (_Law) of one shared walk over those partitions (_walk).
 """
 
 from __future__ import annotations
@@ -522,77 +519,52 @@ def _walk(rows: dict, b: SweepBounds) -> dict:
 
     Weights go up from 0 to b.max_weight. Each partition is built once and
     mapped by phi at most once, and only while a live row reads the image.
-    A row retires at its first counterexample, and the walk stops once
-    every row has. A row's time is its own law's plus, per partition, an
-    equal share of the build and phi among the rows live there; a weight
-    with one live row runs a loop without a clock per partition, which
-    keeps run_check as fast as a hand-written sweep.
+    A row retires at its first counterexample, and no partition is built
+    once every row has. A row's time is the walk's until it retired or
+    ended, plus its own after phase; no clock is read per partition.
     Returns {theorem: report}.
     """
-    theorems, laws = list(rows), list(rows.values())
-    cases, spent, found = [0] * len(laws), [0.0] * len(laws), [None] * len(laws)
-    active = list(range(len(laws)))
+    cases, found, spent = dict.fromkeys(rows, 0), {}, {}
     clock, phi = time.perf_counter, bijection.phi
+    start = clock()
 
-    def retire(i, payload):
-        if laws[i].per_case > 1:
+    def retire(t, payload):
+        if rows[t].per_case > 1:
             # The law names how many of its cases ran on the failing partition.
             ran, payload = payload
-            cases[i] += ran - laws[i].per_case
-        found[i] = payload
-        active.remove(i)
+            cases[t] += ran - rows[t].per_case
+        found[t], spent[t] = payload, clock() - start
+
+    def live_at(n):
+        # The rows live at weight n, whether one reads the image, and how many have retired.
+        live = [(t, law.law, law.per_case) for t, law in rows.items()
+                if t not in found and law.min_weight <= n]
+        return live, any(rows[t].reads_image for t, _, _ in live), len(found)
 
     for n in range(b.max_weight + 1):
-        if not active:
-            break
-        live = [(i, laws[i].law, laws[i].per_case) for i in active if laws[i].min_weight <= n]
-        if not live:
-            continue
-        reads_image = any(laws[i].reads_image for i, _, _ in live)
-        partitions = enumeration.self_conjugate_of(n)
-        mark = clock()
-        if len(live) == 1:
-            # A lone row takes the whole time, so its partitions need no clock.
-            [(i, law, per_case)] = live
-            for sc in partitions:
-                cases[i] += per_case
-                payload = law(sc, phi(sc) if reads_image else None)
-                if payload is not None:
-                    retire(i, payload)
-                    break
-            spent[i] += clock() - mark
-            continue
-        for sc in partitions:
+        live, reads_image, retired = live_at(n)
+        for sc in enumeration.self_conjugate_of(n) if live else ():
             image = phi(sc) if reads_image else None
-            now = clock()
-            share = (now - mark) / len(live)
-            mark = now
-            retired = False
-            for i, law, per_case in live:
-                cases[i] += per_case
+            for t, law, per_case in live:
+                cases[t] += per_case
                 payload = law(sc, image)
-                now = clock()
-                spent[i] += now - mark + share
-                mark = now
                 if payload is not None:
-                    retire(i, payload)
-                    retired = True
-            if retired:
+                    retire(t, payload)
+            if len(found) != retired:
                 # The rest of the weight goes on without the retired rows.
-                live = [row for row in live if row[0] in active]
+                live, reads_image, retired = live_at(n)
                 if not live:
                     break
-                reads_image = any(laws[i].reads_image for i, _, _ in live)
-    for i in active:
-        if laws[i].after is not None:
-            start = clock()
-            _, ran, found[i] = _first_counterexample(None, laws[i].after(b))
-            cases[i] += ran
-            spent[i] += clock() - start
-    return {
-        t: _report(t, law.params(b), cases[i], found[i], spent[i])
-        for i, (t, law) in enumerate(zip(theorems, laws))
-    }
+    end = clock()
+    for t, law in rows.items():
+        if t not in found:
+            mark = clock()
+            if law.after is not None:
+                _, ran, found[t] = _first_counterexample(None, law.after(b))
+                cases[t] += ran
+            spent[t] = end - start + clock() - mark
+    return {t: _report(t, law.params(b), cases[t], found.get(t), spent[t])
+            for t, law in rows.items()}
 
 
 def _law_rows(theorems) -> dict:

@@ -44,6 +44,25 @@ def test_medians_by_sha_and_workload(tmp_path):
     assert summary["change_over_parent"] == {"series-expand": {"pass_cost": pytest.approx(0.5)}}
 
 
+def test_pairs_by_seed_and_parent_quartiles(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    for seed, cost in ((1, 10.0), (2, 12.0), (3, 14.0), (4, 16.0), (5, 18.0)):
+        record(parent, "aaaa1111", "verify-all", seed, cost)
+    # Lower on seeds 1, 2 and 4, higher on 3; seed 6 has no parent run to pair with.
+    for seed, cost in ((1, 9.0), (2, 11.0), (3, 15.0), (4, 15.5), (6, 1.0)):
+        record(change, "bbbb2222", "verify-all", seed, cost)
+    out = tmp_path / "bench.json"
+    assert run("--parent", "aaaa", "--change", "bbbb", "--out", out, parent, change).returncode == 0
+    pairs = json.loads(out.read_text())["pairs"]
+    assert pairs == {
+        "verify-all": {
+            "pass_cost": {"parent_quartiles": [11.0, 14.0, 17.0], "lower_pairs": [3, 4]}
+        }
+    }
+
+
 def test_unknown_sha_refused(tmp_path):
     record(tmp_path, "aaaa1111", "verify-all", 1, 5.0)
     result = run("--parent", "aaaa", "--change", "cccc", "--out", tmp_path / "o.json", tmp_path)

@@ -66,6 +66,17 @@ class TestMap:
         assert "##" in err
         json.loads(out)
 
+    @pytest.mark.parametrize("argv, what, weight", [
+        (["--diagonal", "400000001"], "the partition with these diagonal hooks", 400000001),
+        (["10000001"], "the partition", 10000001),
+    ])
+    def test_weight_limit_refuses_before_building(self, capsys, argv, what, weight):
+        code, out, err = run(capsys, "map", *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {what} weighs {weight}; the largest weight admitted is {cli.WEIGHT_LIMIT}\n"
+        )
+
 
 class TestInverse:
     def test_golden(self, capsys):
@@ -96,6 +107,25 @@ class TestInverse:
     def test_negative_m_rejected(self, capsys):
         code, _, err = run(capsys, "inverse", "--m", "-1", "--mu", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("m, mu, mu_weight, weight", [
+        ("100000000", "", 0, 5000000050000000),
+        ("0", "200000000", 200000000, 800000000),
+        ("4472", "", 0, 10001628),
+    ])
+    def test_weight_limit_refuses_before_building(self, capsys, m, mu, mu_weight, weight):
+        code, out, err = run(capsys, "inverse", "--m", m, "--mu", mu)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the partition of class {m} and an image of weight {mu_weight} weighs"
+            f" {weight}; the largest weight admitted is {cli.WEIGHT_LIMIT}\n"
+        )
+
+    def test_largest_admitted_class(self, capsys):
+        # 4471 * 4472 / 2 = 9,997,156 is the heaviest staircase under the limit.
+        code, out, _ = run(capsys, "inverse", "--m", "4471", "--mu", "")
+        assert code == 0
+        assert json.loads(out)["lambda"].startswith("4471,4470,")
 
 
 class TestCount:
@@ -149,6 +179,20 @@ class TestCount:
         assert err == (
             f"error: --max 200 would enumerate more than {cli.COUNT_BUDGET} partitions;"
             " the largest --max admitted is 59\n"
+        )
+
+    @pytest.mark.parametrize(
+        "family", [["sc-core", "--t", "1000"], ["sc-sim", "--ts", "1000,1002", "--m", "0"]]
+    )
+    def test_self_conjugate_families_refused_past_the_budget(self, capsys, family):
+        # Their search adds hooks to self-conjugate cores, at most sc(n) per weight n.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--family", *family, "--max", "300")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --max 300 would enumerate more than {cli.COUNT_BUDGET} partitions;"
+            " the largest --max admitted is 195\n"
         )
 
     def test_budget_itself_is_admitted(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -374,7 +375,7 @@ def test_walk_maps_each_partition_once_and_only_for_rows_that_read_the_image(mon
     assert walked == sum(verify.enumeration.sc_count_table(20).rows)
     assert len(calls) == walked
     assert len({id(sc) for (sc,) in calls}) == walked
-    # A lone row runs the walk's clockless loop, under the same rule.
+    # A lone row runs the same loop, under the same rule.
     calls.clear()
     assert verify.run_check("prop2.3", max_weight=20).cases == walked
     assert calls == []
@@ -383,10 +384,34 @@ def test_walk_maps_each_partition_once_and_only_for_rows_that_read_the_image(mon
 
 
 def test_a_lone_row_is_timed():
-    # run_check's one-row loop has no clock per partition; the row still
-    # takes the whole walk's time.
+    # The walk reads no clock per partition; a lone row still takes the
+    # whole walk's time.
     report = verify.run_check("lem2.2", max_weight=20)
     assert report.elapsed_ms > 0
+
+
+def test_walk_reads_the_clock_per_row_not_per_partition(monkeypatch):
+    reads = []
+
+    def perf_counter():
+        reads.append(None)
+        return float(len(reads))
+
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=perf_counter))
+    reports = verify.run_checks(PER_PARTITION, max_weight=20)
+    assert reports[0].cases == sum(verify.enumeration.sc_count_table(20).rows) == 56
+    # At the walk's start and end, and per row once as it retires or twice
+    # as the walk ends (around its after phase, if it has one).
+    assert len(reads) <= 2 + 2 * len(PER_PARTITION)
+
+
+def test_a_row_that_outlives_another_reports_at_least_its_time(monkeypatch):
+    # thm4.4's defect retires it at weight 6; lem2.2 walks on to weight 12.
+    owner, name, defect = next(row[1] + (row[2],) for row in DEFECT_TABLE if row[0] == "thm4.4")
+    monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
+    thm44, lem22 = verify.run_checks(["thm4.4", "lem2.2"], max_weight=12)
+    assert not thm44.passed and lem22.passed
+    assert lem22.elapsed_ms >= thm44.elapsed_ms > 0
 
 
 def test_walk_stops_once_every_row_has_retired(monkeypatch):

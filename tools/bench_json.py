@@ -10,8 +10,11 @@ change ran in separate ones) and groups them by git_sha and workload.
 For the parent and the change it writes, per workload, the median of
 each end-to-end metric over the untraced runs, with the runs' seeds,
 Python versions, CPU counts and failed/attempted operations, and the
-change's medians over the parent's. A SHA may be given by a unique
-prefix. Standard library only; it reads records and runs nothing.
+change's medians over the parent's. Per workload and metric, "pairs"
+gives the parent's quartiles and, over the seeds run on both sides,
+how many the change's value is lower on: "lower_pairs": [9, 10] is 9
+of 10 pairs. A SHA may be given by a unique prefix. Standard library
+only; it reads records and runs nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 import sys
 from collections import defaultdict
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 
 
 def load(dirs: list[Path]) -> dict:
@@ -58,6 +61,24 @@ def summarise(records: list[dict]) -> dict:
     }
 
 
+def pairs(parent: list[dict], change: list[dict]) -> dict:
+    """{metric: parent quartiles and lower_pairs} over two sides' runs of one workload."""
+    by_seed = {r["seed"]: r["metrics"] for r in change}
+    out = {}
+    for name in parent[0]["metrics"]:
+        values = [r["metrics"][name]["value"] for r in parent]
+        paired = [
+            (r["metrics"][name]["value"], by_seed[r["seed"]][name]["value"])
+            for r in parent
+            if r["seed"] in by_seed
+        ]
+        out[name] = {
+            "parent_quartiles": quantiles(values, n=4) if len(values) > 1 else values * 3,
+            "lower_pairs": [sum(c < p for p, c in paired), len(paired)],
+        }
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
@@ -78,6 +99,10 @@ def main() -> int:
     parent, change = out["parent"]["workloads"], out["change"]["workloads"]
     out["change_over_parent"] = {
         w: {n: change[w]["median"][n] / v for n, v in parent[w]["median"].items() if v}
+        for w in sorted(parent.keys() & change.keys())
+    }
+    out["pairs"] = {
+        w: pairs(groups[sides["parent"]][w], groups[sides["change"]][w])
         for w in sorted(parent.keys() & change.keys())
     }
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
