@@ -10,6 +10,8 @@ partitions of n; ``phi`` computes the image, ``psi`` inverts it.
 
 from __future__ import annotations
 
+import operator
+from itertools import accumulate
 from typing import NamedTuple
 
 from .partitions import Partition, _sc_from_hooks, sc_from_diagonal
@@ -57,8 +59,8 @@ def diagonal_sequence_pair(sc: Partition) -> DiagonalSequencePair:
     diagonal hooks {4a_i + 1} and {4b_j - 1}."""
     hooks = sc.diagonal_hooks()
     return DiagonalSequencePair(
-        a=tuple((x - 1) // 4 for x in hooks if x % 4 == 1),
-        b=tuple((x + 1) // 4 for x in hooks if x % 4 == 3),
+        tuple([x >> 2 for x in hooks if x & 3 == 1]),
+        tuple([(x >> 2) + 1 for x in hooks if x & 3 == 3]),
     )
 
 
@@ -72,10 +74,15 @@ def phi(sc: Partition) -> PhiImage:
     """
     a, b = diagonal_sequence_pair(sc)
     r, s = len(a), len(b)
-    m = _class_index(r - s)
-    head = [a[i] + (i + 1) + s - r for i in range(r)]
-    gamma = Partition(b[j] - s + j for j in range(s))
-    return PhiImage(m, Partition(head + list(gamma._conjugate_parts())))
+    parts = list(map(operator.add, a, range(1 + s - r, 1 + s)))
+    if b:
+        # gamma_j = b_j - s + j (j from 0) needs no check: b strictly decreases with b_j >= 1,
+        # so gamma is a partition. Its conjugate's column k counts the gamma_j >= k.
+        tally = [0] * (b[0] - s + 1)
+        for j, x in enumerate(b, -s):
+            tally[x + j] += 1
+        parts += list(accumulate(tally[:0:-1]))[::-1]
+    return PhiImage(_class_index(r - s), Partition(parts))
 
 
 def psi(m: int, mu: Partition) -> Partition:
@@ -90,30 +97,25 @@ def psi(m: int, mu: Partition) -> Partition:
     if m < 0:
         raise ValueError(f"class index must be >= 0, got {m}")
     parts = mu.parts
-    ell = len(parts)
-
-    def at(i: int) -> int:
-        return parts[i - 1] if 1 <= i <= ell else 0
-
     d = (m + 1) // 2 if m % 2 else -m // 2
     low = max(d, 0)
-    found = [
-        r
-        for r in range(low, ell + low + 1)
-        if (r == 0 or at(r) >= r - d) and at(r + 1) <= r - d
-    ]
+    # at[i] is mu_i for 1 <= i <= ell and 0 for i = 0 and past the last part.
+    at = (0,) + parts + (0,) * (low + 1)
+    found = [r for r in range(low, len(at) - 1) if (r == 0 or at[r] >= r - d) and at[r + 1] <= r - d]
     if len(found) != 1:
         raise RuntimeError(f"split index not unique for m={m}, mu=({mu}): {found}")
     r = found[0]
     s = r - d
 
-    gamma = list(Partition(parts[r:]).conjugate().parts)
+    # A slice of a valid partition is one, so its conjugate needs no check.
+    gamma = Partition._from_parts(parts[r:])._conjugate_parts()
     if len(gamma) > s:
         raise RuntimeError(f"conjugate tail exceeds {s} parts for m={m}, mu=({mu})")
-    gamma += [0] * (s - len(gamma))
-    a = [at(i) - i - s + r for i in range(1, r + 1)]
-    b = [gamma[j - 1] + s - j + 1 for j in range(1, s + 1)]
-    return sc_from_diagonal([4 * x + 1 for x in a] + [4 * y - 1 for y in b])
+    gamma += (0,) * (s - len(gamma))
+    # a_i = mu_i - i - s + r and b_j = gamma_j + s - j + 1, as hooks 4a + 1 and 4b - 1.
+    hooks = [4 * x + 1 for x in map(operator.sub, at[1 : r + 1], range(1 + s - r, 1 + s))]
+    hooks += [4 * y - 1 for y in map(operator.add, gamma, range(s, 0, -1))]
+    return sc_from_diagonal(hooks)
 
 
 def half_even_beta(sc: Partition) -> tuple[int, ...]:
@@ -134,7 +136,7 @@ def complement_beta(mu: Partition) -> frozenset:
     if not mu:
         raise ValueError("empty partition has no corner box")
     beta = mu.beta_set()
-    return frozenset(beta[0] - x for x in beta[1:])
+    return frozenset(map(beta[0].__sub__, beta[1:]))
 
 
 def delete_principal_hook(sc: Partition) -> Partition:

@@ -137,16 +137,16 @@ COUNT_BUDGET = 6_000_000
 ROUND_TRIP_BUDGET = 1_000_000
 
 
-# Largest --order that series and verify accept. Series work grows as the square of the
-# order (verify eq1.1 took 23 s at --order 3000 on a 2-vCPU host), so a huge order would hang
-# rather than fail.
+# Largest --order of series and verify, and --max of count --family p|sc (product-series
+# coefficients up to q^max). Series work grows as the square of the order (verify eq1.1 took
+# 23 s at --order 3000 on a 2-vCPU host), so a huge order would hang rather than fail.
 ORDER_LIMIT = 2000
 
 
-def _admit_order(order: int) -> None:
+def _admit_order(flag: str, order: int) -> None:
     if order > ORDER_LIMIT:
-        raise UsageError(f"--order {order} would expand series past q^{ORDER_LIMIT}; "
-                         f"the largest --order admitted is {ORDER_LIMIT}")
+        raise UsageError(f"{flag} {order} would expand series past q^{ORDER_LIMIT}; "
+                         f"the largest {flag} admitted is {ORDER_LIMIT}")
 
 
 def _admit(flag: str, value: int, counts, budget: int, overrun: str) -> None:
@@ -179,7 +179,7 @@ def _chosen(args, flag: str, table: dict) -> tuple:
 
 
 # family -> (parameter flags it reads, per-weight count table bounding its work or None
-# when uncapped, table builder)
+# when --max is capped at ORDER_LIMIT instead, table builder)
 _FAMILIES = {
     "p": ((), None, lambda a: enumeration.partition_count_table(a.max)),
     "sc": ((), None, lambda a: enumeration.sc_count_table(a.max)),
@@ -206,7 +206,9 @@ _KINDS = {
 def _cmd_count(args) -> int:
     _nonneg(args.max, "--max")
     _, work, build = _chosen(args, "--family", _FAMILIES)
-    if work is not None:
+    if work is None:
+        _admit_order("--max", args.max)
+    else:
         overrun = f"would enumerate more than {COUNT_BUDGET} partitions"
         _admit("--max", args.max, work, COUNT_BUDGET, overrun)
     table = build(args)
@@ -218,7 +220,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    _admit_order(_nonneg(args.order, "--order"))
+    _admit_order("--order", _nonneg(args.order, "--order"))
     _, build = _chosen(args, "--kind", _KINDS)
     _emit_json(build(args).to_json_dict(), args.out)
     return 0
@@ -240,7 +242,7 @@ def _cmd_verify(args) -> int:
         raise UsageError("a theorem id or --all is required")
     ids = verify.all_ids() if args.all else [args.theorem]
     bounds = {field: _nonneg(getattr(args, field), flag) for flag, field, _ in _BOUND_FLAGS}
-    _admit_order(bounds["order"])
+    _admit_order("--order", bounds["order"])
     budget, copies = ROUND_TRIP_BUDGET, bounds["max_class"] + 1
     overrun = f"would sweep more than {budget} self-conjugate partitions"
     _admit("--max-weight", bounds["max_weight"], enumeration.sc_count_table, budget, overrun)

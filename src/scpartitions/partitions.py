@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -40,9 +41,10 @@ def check_moduli(ts: Iterable[int]) -> tuple[int, ...]:
     moduli = tuple(ts)
     if not moduli:
         raise ValueError("modulus list must be nonempty")
-    for t in moduli:
-        if t < 1:
-            raise ValueError(f"modulus must be a positive integer, got {t}")
+    if min(moduli) < 1:
+        for t in moduli:
+            if t < 1:
+                raise ValueError(f"modulus must be a positive integer, got {t}")
     return moduli
 
 
@@ -128,20 +130,11 @@ class Partition:
 
     def _conjugate_parts(self) -> tuple[int, ...]:
         if self._conj is None:
-            if self._parts:
-                width = self._parts[0]
-                tally = [0] * (width + 1)
-                for p in self._parts:
-                    tally[p] += 1
-                cols = []
-                running = 0
-                for j in range(width, 0, -1):
-                    running += tally[j]
-                    cols.append(running)
-                cols.reverse()
-                self._conj = tuple(cols)
-            else:
-                self._conj = ()
+            tally = [0] * (self._parts[0] + 1 if self._parts else 1)
+            for p in self._parts:
+                tally[p] += 1
+            # Column j counts the parts >= j: running sums from the widest down.
+            self._conj = tuple(accumulate(tally[:0:-1]))[::-1]
         return self._conj
 
     def conjugate(self) -> "Partition":
@@ -179,17 +172,17 @@ class Partition:
         """
         beads = self._bead_bits()
         gaps = ~beads
-        counts = {}
+        counts = Counter()
         for h in range(1, beads.bit_length()):
             count = (beads >> h & gaps).bit_count()
             if count:
                 counts[h] = count
-        return Counter(counts)
+        return counts
 
     def beta_set(self) -> tuple[int, ...]:
         """First-column hook lengths, strictly decreasing; one per part."""
         ell = len(self._parts)
-        return tuple(p + ell - i for i, p in enumerate(self._parts, start=1))
+        return tuple(map(operator.add, self._parts, range(ell - 1, -1, -1)))
 
     def _bead_bits(self) -> int:
         # The beads as the set bits of one integer, packed on first use.
@@ -207,7 +200,8 @@ class Partition:
         if self._hooks is None:
             if not self.is_self_conjugate():
                 raise ValueError(f"partition ({self}) is not self-conjugate")
-            self._hooks = tuple(2 * self._parts[i] - 2 * i - 1 for i in range(self.durfee_side()))
+            d = self.durfee_side()
+            self._hooks = tuple([2 * (p - i) - 1 for i, p in enumerate(self._parts[:d])])
         return self._hooks
 
     def disparity(self) -> int:
@@ -251,12 +245,14 @@ def parse_partition(text: str) -> Partition:
 
 
 def _validated_deltas(deltas: Iterable[int]) -> tuple[int, ...]:
-    ds = tuple(operator.index(x) for x in deltas)
-    for x in ds:
-        if x < 1:
-            raise ValueError(f"diagonal hook {x} is not positive")
-        if x % 2 == 0:
-            raise ValueError(f"diagonal hook {x} is even")
+    ds = tuple(map(operator.index, deltas))
+    # Positive odd hooks pass in C; only an invalid input walks them, to name the first fault.
+    if ds and not (min(ds) >= 1 and all(map((1).__and__, ds))):
+        for x in ds:
+            if x < 1:
+                raise ValueError(f"diagonal hook {x} is not positive")
+            if x % 2 == 0:
+                raise ValueError(f"diagonal hook {x} is even")
     if len(set(ds)) != len(ds):
         raise ValueError(f"duplicate diagonal hooks in {sorted(ds, reverse=True)}")
     return tuple(sorted(ds, reverse=True))

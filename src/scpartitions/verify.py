@@ -268,7 +268,7 @@ def _check_lem41(b: SweepBounds):
 
     def law(mu):
         corner = mu.hook_length(1, 1)
-        expected = frozenset(range(1, corner + 1)) - set(mu.conjugate().beta_set())
+        expected = frozenset(range(1, corner + 1)).difference(mu.conjugate().beta_set())
         got = bijection.complement_beta(mu)
         if got != expected:
             return {"mu": str(mu), "complement": sorted(got), "expected": sorted(expected)}

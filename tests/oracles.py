@@ -4,7 +4,9 @@ These deliberately avoid the library's own formulas: conjugation goes
 through an explicit cell set, hooks are counted by walking boxes, the
 core test looks beads up in a set, distinct odd decompositions come from
 a recursive walk, partitions from a stack walk, and the classical
-sequences come from their recurrences. The core-count oracles take every
+sequences come from their recurrences. ``phi_by_definition`` and
+``psi_by_definition`` keep the library's earlier maps, written index by
+index from the paper's formulas. The core-count oracles take every
 partition (or self-conjugate partition) of each weight from the
 library's generators and test it with its core predicate, so they share
 nothing with the library's search over cores.
@@ -13,7 +15,14 @@ nothing with the library's search over cores.
 from collections import Counter
 from functools import lru_cache
 
-from scpartitions import classify, distinct_odd_decompositions, partitions_of, self_conjugate_of
+from scpartitions import (
+    Partition,
+    classify,
+    distinct_odd_decompositions,
+    partitions_of,
+    sc_from_diagonal,
+    self_conjugate_of,
+)
 
 
 def cells(parts):
@@ -104,6 +113,60 @@ def partitions_by_stack(n):
             stack.append(c)
             cap = c
             m -= c
+
+
+def _class_index(surplus):
+    return 2 * surplus - 1 if surplus >= 1 else -2 * surplus
+
+
+def _diagonal_sequence_pair(sc):
+    hooks = sc.diagonal_hooks()
+    return (
+        tuple((x - 1) // 4 for x in hooks if x % 4 == 1),
+        tuple((x + 1) // 4 for x in hooks if x % 4 == 3),
+    )
+
+
+def phi_by_definition(sc):
+    """(m, mu) with mu_i = a_i + i + s - r for i <= r, then the conjugate of
+    (b_1 - s, b_2 - s + 1, ..., b_s - 1), each entry computed by index."""
+    a, b = _diagonal_sequence_pair(sc)
+    r, s = len(a), len(b)
+    m = _class_index(r - s)
+    head = [a[i] + (i + 1) + s - r for i in range(r)]
+    gamma = Partition(b[j] - s + j for j in range(s))
+    return m, Partition(head + list(gamma._conjugate_parts()))
+
+
+def psi_by_definition(m, mu):
+    """The self-conjugate partition of class m mapped to mu, read by index."""
+    if m < 0:
+        raise ValueError(f"class index must be >= 0, got {m}")
+    parts = mu.parts
+    ell = len(parts)
+
+    def at(i: int) -> int:
+        return parts[i - 1] if 1 <= i <= ell else 0
+
+    d = (m + 1) // 2 if m % 2 else -m // 2
+    low = max(d, 0)
+    found = [
+        r
+        for r in range(low, ell + low + 1)
+        if (r == 0 or at(r) >= r - d) and at(r + 1) <= r - d
+    ]
+    if len(found) != 1:
+        raise RuntimeError(f"split index not unique for m={m}, mu=({mu}): {found}")
+    r = found[0]
+    s = r - d
+
+    gamma = list(Partition(parts[r:]).conjugate().parts)
+    if len(gamma) > s:
+        raise RuntimeError(f"conjugate tail exceeds {s} parts for m={m}, mu=({mu})")
+    gamma += [0] * (s - len(gamma))
+    a = [at(i) - i - s + r for i in range(1, r + 1)]
+    b = [gamma[j - 1] + s - j + 1 for j in range(1, s + 1)]
+    return sc_from_diagonal([4 * x + 1 for x in a] + [4 * y - 1 for y in b])
 
 
 def catalan_by_recurrence(n):

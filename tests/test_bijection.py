@@ -15,6 +15,8 @@ from scpartitions import (
     self_conjugate_of,
 )
 
+from oracles import phi_by_definition, psi_by_definition
+
 LAM = sc_from_diagonal([21, 15, 13, 9, 3, 1])    # class 3, weight 62
 LAM_T = sc_from_diagonal([31, 19, 11, 5])        # class 4, weight 66
 MU = Partition([4, 3, 3, 2, 1, 1])
@@ -92,6 +94,13 @@ class TestPhi:
             m, mu = phi(sc)
             assert sc.weight == 4 * mu.weight + m * (m + 1) // 2
 
+    def test_matches_definition_up_to_60(self):
+        # Built partitions carry their hooks; fresh ones derive them.
+        for sc in all_sc(60):
+            expected = phi_by_definition(sc)
+            assert phi(sc) == expected, sc
+            assert phi(Partition(sc.parts)) == expected, sc
+
 
 class TestPsi:
     def test_golden_examples(self):
@@ -119,6 +128,14 @@ class TestPsi:
             for mu in partitions_of(w):
                 for m in range(13):
                     assert phi(psi(m, mu)) == (m, mu)
+
+    def test_matches_definition(self):
+        for w in range(17):
+            for mu in partitions_of(w):
+                for m in range(13):
+                    lam, expected = psi(m, mu), psi_by_definition(m, mu)
+                    assert lam == expected, (m, mu)
+                    assert lam.diagonal_hooks() == expected.diagonal_hooks(), (m, mu)
 
 
 class TestDisparityLaw:

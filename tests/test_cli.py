@@ -195,6 +195,21 @@ class TestCount:
             " the largest --max admitted is 195\n"
         )
 
+    @pytest.mark.parametrize("family", ["p", "sc"])
+    def test_series_families_capped_at_the_order_limit(self, capsys, family):
+        # Their tables are product-series coefficients up to q^max, capped as --order is.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--family", family, "--max", "2001")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --max 2001 would expand series past q^2000;"
+            " the largest --max admitted is 2000\n"
+        )
+        code, out, _ = run(capsys, "count", "--family", family, "--max", str(cli.ORDER_LIMIT))
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 2001
+
     def test_budget_itself_is_admitted(self):
         cli._admit("--max", 1, partition_count_table, 2, "over")  # p(0) + p(1) == 2
         with pytest.raises(cli.UsageError, match="^--max 1 over; the largest --max admitted is 0$"):

@@ -118,7 +118,7 @@ class TestConjugate:
         assert p.is_self_conjugate()
 
     def test_matches_cell_transpose_oracle(self):
-        for n in range(13):
+        for n in range(26):
             for p in partitions_of(n):
                 assert p.conjugate().parts == transpose_by_cells(p.parts)
 
@@ -203,6 +203,13 @@ class TestBetaSet:
                 if beta:
                     assert beta[0] == p.hook_length(1, 1)
 
+    def test_matches_definition_up_to_25(self):
+        # beta_i = p_i + ell - i, rows indexed from 1
+        for n in range(26):
+            for p in partitions_of(n):
+                ell = len(p)
+                assert p.beta_set() == tuple(p[i - 1] + ell - i for i in range(1, ell + 1)), p
+
     def test_self_conjugate_beta_equality(self):
         for n in range(41):
             for sc in self_conjugate_of(n):
@@ -257,12 +264,20 @@ class TestDiagonalHooks:
         assert Partition(lam.parts).is_self_conjugate()
 
     def test_reconstruction_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="even"):
-            sc_from_diagonal([4, 1])
-        with pytest.raises(ValueError, match="duplicate"):
-            sc_from_diagonal([5, 5])
-        with pytest.raises(ValueError, match="positive"):
-            sc_from_diagonal([3, -1])
+        # Each message in full; the first fault in input order is the one named.
+        for deltas, message in [
+            ([4, 1], "diagonal hook 4 is even"),
+            ([3, -1], "diagonal hook -1 is not positive"),
+            ([0], "diagonal hook 0 is not positive"),
+            ([5, 5], "duplicate diagonal hooks in [5, 5]"),
+            ([1, 2, -3], "diagonal hook 2 is even"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                sc_from_diagonal(deltas)
+            assert str(excinfo.value) == message
+        with pytest.raises(TypeError) as excinfo:
+            sc_from_diagonal([3, 1.5])
+        assert str(excinfo.value) == "'float' object cannot be interpreted as an integer"
 
     def test_reconstruction_matches_cell_transpose_up_to_40(self):
         # Rows below the diagonal are built as runs; check them against
@@ -351,10 +366,13 @@ class TestCores:
 
     def test_check_moduli(self):
         assert check_moduli(iter([3, 4, 3])) == (3, 4, 3)
-        with pytest.raises(ValueError, match="nonempty"):
-            check_moduli([])
-        with pytest.raises(ValueError, match="positive integer, got 0"):
-            check_moduli([5, 0])
+        for ts, message in [
+            ([], "modulus list must be nonempty"),
+            ([3, 0], "modulus must be a positive integer, got 0"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                check_moduli(ts)
+            assert str(excinfo.value) == message
 
     def test_simultaneous_examples(self):
         assert Partition([1]).is_simultaneous_core([2, 3])
