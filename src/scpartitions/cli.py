@@ -47,10 +47,16 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated integer list, got {text!r}")
+    """Comma-separated integers; a blank text is the empty list, a blank token an error."""
+    if not text.strip():
+        return []
+    values = []
+    for i, tok in enumerate(text.split(",")):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise UsageError(f"{flag} token {i} is not an integer: {tok.strip()!r}") from None
+    return values
 
 
 def _nonneg(value: int, flag: str) -> int:
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, field, help_text in _BOUND_FLAGS:
         p_verify.add_argument(
             flag, dest=field, metavar=flag[2:].upper().replace("-", "_"), type=int,
-            default=getattr(verify.SweepBounds, field), help=help_text,
+            default=verify.SweepBounds._field_defaults[field], help=help_text,
         )
     p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized ring-law checks")
     p_verify.set_defaults(func=_cmd_verify)

@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bijection import _class_index
 from .partitions import Partition, _sc_from_hooks, check_moduli
@@ -51,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Counts indexed by weight: rows[n] is the count at n, for n in [0, N]."""
 
     family: str

@@ -15,9 +15,8 @@ digits and reading them back are O(N) passes at C speed.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import CountTable
 from .partitions import check_moduli
@@ -142,8 +141,7 @@ class TruncatedSeries:
         return {"order": self.order, "coefficients": list(self._coeffs)}
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Outcome of a coefficient-wise comparison of two series."""
 
     equal: bool

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import bijection, enumeration, series
@@ -21,24 +20,29 @@ from .partitions import Partition, beta_from_diagonal
 __all__ = ["SweepBounds", "VerificationReport", "CHECKS", "all_ids", "run_check", "run_checks"]
 
 
-@dataclass(frozen=True)
-class SweepBounds:
-    """Bounds shared by the sweeps; each check uses the ones it needs."""
-
+class _Bounds(NamedTuple):
     max_weight: int = 40
     order: int = 40
     max_mu_weight: int = 12
     max_class: int = 6
     seed: int = 0
 
-    def __post_init__(self):
+
+class SweepBounds(_Bounds):
+    """Bounds shared by the sweeps; each check uses the ones it needs."""
+
+    # A NamedTuple body may not define __new__, so the check sits in this subclass.
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("max_weight", "order", "max_mu_weight", "max_class"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        return self
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     theorem: str
     passed: bool
     params: dict
@@ -47,14 +51,7 @@ class VerificationReport:
     elapsed_ms: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "passed": self.passed,
-            "params": self.params,
-            "cases": self.cases,
-            "counterexample": self.counterexample,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+        return {**self._asdict(), "elapsed_ms": round(self.elapsed_ms, 3)}
 
     def summary_line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

@@ -78,6 +78,23 @@ class TestMap:
         )
 
 
+class TestIntegerLists:
+    @pytest.mark.parametrize("argv, flag, token", [
+        (["map", "--diagonal", "5,,3"], "--diagonal", 1),
+        (["map", "--diagonal", "5,3,"], "--diagonal", 2),
+        (["count", "--family", "sim", "--ts", "3,,4"], "--ts", 1),
+    ])
+    def test_empty_token_exits_two(self, capsys, argv, flag, token):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} token {token} is not an integer: ''\n"
+
+    def test_blank_diagonal_is_the_empty_partition(self, capsys):
+        code, out, _ = run(capsys, "map", "--diagonal", "")
+        assert code == 0
+        assert json.loads(out)["weight_check"]["lambda_weight"] == 0
+
+
 class TestInverse:
     def test_golden(self, capsys):
         code, out, _ = run(capsys, "inverse", "--m", "4", "--mu", "4,3,3,2,1,1")

@@ -429,6 +429,13 @@ class TestCountTable:
         assert obj["params"] == {"t": 4}
         assert obj["rows"] == [[n, table.rows[n]] for n in range(6)]
 
+    def test_max_n_and_frozen_fields(self):
+        table = partition_count_table(3)
+        assert table.max_n == 3
+        for field in table._fields:
+            with pytest.raises(AttributeError):
+                setattr(table, field, getattr(table, field))
+
     def test_sc_table_matches_generator(self):
         table = sc_count_table(20)
         assert list(table.rows) == [

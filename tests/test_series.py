@@ -11,6 +11,7 @@ from oracles import (
     sc_even_core_product_dense,
 )
 from scpartitions import (
+    IdentityCheck,
     TruncatedSeries,
     check_identity,
     core_count_table,
@@ -299,3 +300,12 @@ class TestIdentities:
         outcome = check_identity(triangular_series(8), triangular_series(8))
         assert outcome.equal
         assert outcome.first_mismatch is None
+
+    def test_identity_check_defaults_and_frozen_fields(self):
+        outcome = IdentityCheck(True)
+        assert (outcome.first_mismatch, outcome.lhs_coefficient, outcome.rhs_coefficient) == (
+            None, None, None,
+        )
+        for field in outcome._fields:
+            with pytest.raises(AttributeError):
+                setattr(outcome, field, getattr(outcome, field))

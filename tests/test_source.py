@@ -1,6 +1,9 @@
 """Checks on the library's source text itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import scpartitions
@@ -123,3 +126,20 @@ def test_verify_walks_the_self_conjugate_partitions_at_one_site():
                 continue
             sites += [(getattr(top, "name", None), name) for name in names if name in generators]
     assert sites == [("_walk", "self_conjugate_of")]
+
+
+def _modules_loaded(code: str) -> set:
+    src = str(Path(scpartitions.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    ).stdout
+    return set(out.split())
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # Commands run once per process, so the import is part of their wall time:
+    # dataclasses alone pulls in inspect, ast, dis and tokenize.
+    added = _modules_loaded("import scpartitions, scpartitions.cli") - _modules_loaded("pass")
+    assert "scpartitions.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect"})

@@ -1,11 +1,10 @@
-import dataclasses
 import json
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from scpartitions import Partition, verify
+from scpartitions import Partition, cli, verify
 from scpartitions.series import TruncatedSeries, check_identity
 
 
@@ -50,6 +49,27 @@ def test_negative_bound_rejected(bound):
         verify.SweepBounds(**{bound: -1})
     with pytest.raises(ValueError, match=f"{bound} must be >= 0"):
         verify.run_check("prop2.3", **{bound: -1})
+
+
+def test_unknown_bound_rejected():
+    with pytest.raises(TypeError):
+        verify.SweepBounds(bogus=1)
+
+
+def test_bounds_defaults_are_the_verify_flag_defaults():
+    args = cli.build_parser().parse_args(["verify", "--all"])
+    assert verify.SweepBounds()._asdict() == {f: getattr(args, f) for f in verify.SweepBounds._fields}
+
+
+@pytest.mark.parametrize(
+    "record",
+    [verify.SweepBounds(), verify.VerificationReport("prop2.3", True, {}, 1, None, 0.5)],
+    ids=["SweepBounds", "VerificationReport"],
+)
+def test_records_are_frozen(record):
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 @pytest.mark.parametrize("theorem", ["prop4.2", "lem4.1"])
@@ -139,7 +159,7 @@ def _bump_row(fn, n):
         table = fn(*args)
         rows = list(table.rows)
         rows[n] += 1
-        return dataclasses.replace(table, rows=tuple(rows))
+        return table._replace(rows=tuple(rows))
 
     return bumped
 
