@@ -144,8 +144,8 @@ ROUND_TRIP_BUDGET = 1_000_000
 
 
 # Largest --order of series and verify, and --max of count --family p|sc (product-series
-# coefficients up to q^max). Series work grows as the square of the order (verify eq1.1 took
-# 23 s at --order 3000 on a 2-vCPU host), so a huge order would hang rather than fail.
+# coefficients up to q^max). verify eq1.1 searches every 5-core up to the order, 4x the time
+# per doubling (8.5 s at --order 2000 on a 2-vCPU host), so a huge order would hang, not fail.
 ORDER_LIMIT = 2000
 
 

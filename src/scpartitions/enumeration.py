@@ -122,27 +122,39 @@ def partitions_of(n: int) -> Iterator[Partition]:
         yield from_parts(tuple(x[:m]))
 
 
+def _pentagonal(limit: int) -> Iterator[tuple[int, int]]:
+    """(g, sign) for each generalized pentagonal number 0 < g <= limit, increasing.
+
+    Euler's pentagonal number theorem: prod over n >= 1 of (1 - q^n) is 1
+    plus sign * q^g over these terms, where g runs over k(3k - 1)/2 and
+    k(3k + 1)/2 with sign (-1)^k, for k = 1, 2, ...
+    """
+    k, g = 1, 1
+    while g <= limit:
+        sign = -1 if k % 2 else 1
+        yield g, sign
+        if g + k > limit:
+            return
+        yield g + k, sign
+        k += 1
+        g = k * (3 * k - 1) // 2
+
+
 _pcounts = [1]
 
 
 def partition_count(n: int) -> int:
-    """p(n) via the pentagonal-number recurrence; memoized."""
+    """p(n) by Euler's recurrence, p(m) = -sum of sign * p(m - g) over _pentagonal(m); memoized."""
     _check_nonneg(n)
-    while len(_pcounts) <= n:
-        m = len(_pcounts)
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > m:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * _pcounts[m - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= m:
-                total += sign * _pcounts[m - g2]
-            k += 1
-        _pcounts.append(total)
+    if len(_pcounts) <= n:
+        terms = list(_pentagonal(n))
+        for m in range(len(_pcounts), n + 1):
+            total = 0
+            for g, sign in terms:
+                if g > m:
+                    break
+                total -= sign * _pcounts[m - g]
+            _pcounts.append(total)
     return _pcounts[n]
 
 
@@ -370,7 +382,8 @@ def motzkin(n: int) -> int:
 def partition_count_table(max_n: int) -> CountTable:
     """Table of p(n) for n in [0, max_n]."""
     _check_nonneg(max_n, "max_n")
-    return CountTable("p", {}, tuple(partition_count(n) for n in range(max_n + 1)))
+    partition_count(max_n)
+    return CountTable("p", {}, tuple(_pcounts[: max_n + 1]))
 
 
 def sc_count_table(max_n: int) -> CountTable:

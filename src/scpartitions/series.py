@@ -4,12 +4,15 @@ A series of order N stores coefficients of q^0 .. q^N; addition and
 multiplication are exact modulo q^(N+1). Coefficients are plain Python
 integers, so identity checks can never wrap. Infinite products are cut
 at the first factor whose lowest non-constant exponent exceeds N, which
-leaves every kept coefficient exact. The product builders apply each
-sparse factor, 1/(1 - q^k) or 1 +- q^k, as one O(N) pass over the
-coefficients, so a product of O(N) factors costs O(N^2). A dense product
-(`*`) is one big-integer multiply by Kronecker substitution, O(N^1.58) in
-C (Karatsuba) for digits of a fixed width; packing the coefficients into
-digits and reading them back are O(N) passes at C speed.
+leaves every kept coefficient exact. A sparse factor, 1/(1 - q^k) or
+1 +- q^k, is one O(N) pass over the coefficients. By Euler's pentagonal
+number theorem a whole product prod_n (1 - q^(kn)) has O(sqrt(N/k))
+terms, one pass each, and prod_n 1/(1 - q^n) is the series of p(n): the
+t-core builder costs O(N^1.5), the two builders with N/2 odd factors
+O(N^2). A dense product (`*`) is one big-integer multiply by
+Kronecker substitution, O(N^1.58) in C (Karatsuba) for digits of a fixed
+width; packing the coefficients into digits and reading them back are
+O(N) passes at C speed.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import operator
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .enumeration import CountTable
+from .enumeration import CountTable, _pentagonal, partition_count_table
 from .partitions import check_moduli
 
 __all__ = [
@@ -201,19 +204,35 @@ def triangular_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs, order)
 
 
+def _times_euler(s: TruncatedSeries, k: int) -> TruncatedSeries:
+    """Multiply by prod over n >= 1 of (1 - q^(kn)).
+
+    The product is 1 plus sign * q^(kg) over the generalized pentagonal
+    numbers g (_pentagonal), so it is one shifted pass per g with kg <=
+    order: O(sqrt(order / k)) passes instead of order / k.
+    """
+    c = s.coeffs
+    out = list(c)
+    for g, sign in _pentagonal(s.order // k):
+        shift = k * g
+        out[shift:] = map(operator.add if sign == 1 else operator.sub, out[shift:], c)
+    return TruncatedSeries._from_coeffs(out)
+
+
 def core_product_series(t: int, order: int) -> TruncatedSeries:
     """Product expansion of the t-core counting series.
 
     Expands prod over n >= 1 of (1 - q^(nt))^t / (1 - q^n) to the given
     order; its coefficient at q^n is the number of t-core partitions of n.
+    The quotient by prod (1 - q^n) is the series of p(n); each of the t
+    Euler factors costs O(sqrt(order / t)) passes, O(order^1.5) in all.
+    For t > order every Euler factor is 1 modulo q^(order + 1).
     """
     check_moduli((t,))
-    out = TruncatedSeries.one(order)
-    for n in range(1, order + 1):
-        out = out.times_geometric(n)
-    for n in range(1, order // t + 1):
+    out = series_from_counts(partition_count_table(order), 1, order)
+    if t <= order:
         for _ in range(t):
-            out = out.times_binomial(n * t, -1)
+            out = _times_euler(out, t)
     return out
 
 
@@ -222,12 +241,14 @@ def sc_even_core_product_series(t: int, order: int) -> TruncatedSeries:
 
     Expands prod over n >= 1 of (1 - q^(4nt))^t (1 + q^(2n-1)); its
     coefficient at q^n counts self-conjugate 2t-core partitions of n.
+    The t Euler factors take O(sqrt(order / 4t)) passes each (none once
+    4t > order); the order / 2 odd factors take one pass each, O(order^2).
     """
     check_moduli((t,))
     out = TruncatedSeries.one(order)
-    for n in range(1, order // (4 * t) + 1):
+    if 4 * t <= order:
         for _ in range(t):
-            out = out.times_binomial(4 * n * t, -1)
+            out = _times_euler(out, 4 * t)
     for odd in range(1, order + 1, 2):
         out = out.times_binomial(odd, 1)
     return out
@@ -236,9 +257,11 @@ def sc_even_core_product_series(t: int, order: int) -> TruncatedSeries:
 def gauss_product_series(order: int) -> TruncatedSeries:
     """Product expansion of prod over n >= 1 of (1 - q^(2n)) / (1 - q^(2n-1)).
 
-    Equals the triangular-exponent series to any order.
+    Equals the triangular-exponent series to any order. The numerator is
+    one Euler product, O(sqrt(order)) passes; the order / 2 odd factors
+    take one pass each, O(order^2).
     """
-    out = TruncatedSeries.one(order)
+    out = _times_euler(TruncatedSeries.one(order), 2)
     for odd in range(1, order + 1, 2):
-        out = out.times_geometric(odd).times_binomial(odd + 1, -1)
+        out = out.times_geometric(odd)
     return out

@@ -9,7 +9,10 @@ sequences come from their recurrences. ``phi_by_definition`` and
 index from the paper's formulas. The core-count oracles take every
 partition (or self-conjugate partition) of each weight from the
 library's generators and test it with its core predicate, so they share
-nothing with the library's search over cores.
+nothing with the library's search over cores. The ``*_by_factors``
+builders keep the library's earlier product builders, one sparse pass
+per factor: they reach orders the dense expansions cannot, and share no
+pentagonal numbers and no p(n) with the builders they check.
 """
 
 from collections import Counter
@@ -17,6 +20,8 @@ from functools import lru_cache
 
 from scpartitions import (
     Partition,
+    TruncatedSeries,
+    check_moduli,
     classify,
     distinct_odd_decompositions,
     partitions_of,
@@ -282,3 +287,35 @@ def gauss_product_dense(order):
     factors = [geometric_factor(k, order) for k in range(1, order + 1, 2)]
     factors += [binomial_factor(k, -1, order) for k in range(2, order + 1, 2)]
     return expand_factors(factors, order)
+
+
+def core_product_by_factors(t: int, order: int) -> TruncatedSeries:
+    """prod (1 - q^(nt))^t / (1 - q^n), one times_geometric or times_binomial pass per factor."""
+    check_moduli((t,))
+    out = TruncatedSeries.one(order)
+    for n in range(1, order + 1):
+        out = out.times_geometric(n)
+    for n in range(1, order // t + 1):
+        for _ in range(t):
+            out = out.times_binomial(n * t, -1)
+    return out
+
+
+def sc_even_core_product_by_factors(t: int, order: int) -> TruncatedSeries:
+    """prod (1 - q^(4nt))^t (1 + q^(2n-1)), one times_binomial pass per factor."""
+    check_moduli((t,))
+    out = TruncatedSeries.one(order)
+    for n in range(1, order // (4 * t) + 1):
+        for _ in range(t):
+            out = out.times_binomial(4 * n * t, -1)
+    for odd in range(1, order + 1, 2):
+        out = out.times_binomial(odd, 1)
+    return out
+
+
+def gauss_product_by_factors(order: int) -> TruncatedSeries:
+    """prod (1 - q^(2n)) / (1 - q^(2n-1)), one times_geometric or times_binomial pass per factor."""
+    out = TruncatedSeries.one(order)
+    for odd in range(1, order + 1, 2):
+        out = out.times_geometric(odd).times_binomial(odd + 1, -1)
+    return out

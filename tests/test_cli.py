@@ -168,6 +168,14 @@ class TestCount:
         code, _, err = run(capsys, "count", "--family", "sc-sim", "--ts", "4,6", "--max", "5")
         assert code == 2
 
+    def test_huge_modulus_returns_at_once(self, capsys):
+        # Every factor (1 - q^(nt)) is 1 below q^(t + 1); none is applied.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "series", "--kind", "core_gf", "--t", "99999999999", "--order", "10")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["coefficients"] == list(partition_count_table(10).rows)
+
     def test_missing_t_rejected(self, capsys):
         code, _, err = run(capsys, "count", "--family", "core", "--max", "5")
         assert code == 2

@@ -4,6 +4,7 @@ import pytest
 
 from scpartitions import (
     Partition,
+    TruncatedSeries,
     add_hook,
     add_row,
     anderson_count,
@@ -86,6 +87,22 @@ class TestPartitionCount:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             partition_count(-1)
+        with pytest.raises(ValueError, match="max_n"):
+            partition_count_table(-1)
+
+    def test_matches_the_product_of_geometric_series_to_2000(self):
+        # prod 1/(1 - q^n), one pass per factor, shares no pentagonal numbers.
+        product = TruncatedSeries.one(2000)
+        for n in range(1, 2001):
+            product = product.times_geometric(n)
+        assert partition_count_table(2000).rows == product.coeffs
+        assert partition_count(1000) == 24061467864032622473692149727991
+        assert partition_count(2000) == 4720819175619413888601432406799959512200344166
+
+    def test_a_table_below_the_memo_is_a_prefix(self):
+        partition_count(50)
+        assert partition_count_table(5).rows == (1, 1, 2, 3, 5, 7)
+        assert partition_count_table(0).rows == (1,)
 
 
 class TestSelfConjugateOf:

@@ -5,9 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    core_product_by_factors,
     core_product_dense,
     dense_product,
+    gauss_product_by_factors,
     gauss_product_dense,
+    sc_even_core_product_by_factors,
     sc_even_core_product_dense,
 )
 from scpartitions import (
@@ -27,6 +30,8 @@ from scpartitions import (
     sim_core_count_table,
     triangular_series,
 )
+from scpartitions.enumeration import _pentagonal
+from scpartitions.series import _times_euler
 
 
 class TestArithmetic:
@@ -201,6 +206,62 @@ class TestBuildersMatchDenseExpansion:
     @pytest.mark.parametrize("order", BUILDER_ORDERS)
     def test_gauss_product(self, order):
         assert list(gauss_product_series(order).coeffs) == gauss_product_dense(order)
+
+
+# Past the dense oracles' reach: the earlier one-pass-per-factor builders.
+FACTOR_ORDERS = (400, 1000)
+
+
+class TestBuildersMatchFactorByFactor:
+    @pytest.mark.parametrize("order", FACTOR_ORDERS)
+    @pytest.mark.parametrize("t", BUILDER_MODULI)
+    def test_core_product(self, t, order):
+        assert core_product_series(t, order) == core_product_by_factors(t, order)
+
+    @pytest.mark.parametrize("order", FACTOR_ORDERS)
+    @pytest.mark.parametrize("t", BUILDER_MODULI)
+    def test_sc_even_core_product(self, t, order):
+        assert sc_even_core_product_series(t, order) == sc_even_core_product_by_factors(t, order)
+
+    @pytest.mark.parametrize("order", FACTOR_ORDERS)
+    def test_gauss_product(self, order):
+        assert gauss_product_series(order) == gauss_product_by_factors(order)
+
+
+class TestEulerProduct:
+    ORDER = 500
+
+    def test_pentagonal_terms_expand_the_euler_product(self):
+        by_factors = TruncatedSeries.one(self.ORDER)
+        for n in range(1, self.ORDER + 1):
+            by_factors = by_factors.times_binomial(n, -1)
+        coeffs = [1] + [0] * self.ORDER
+        for g, sign in _pentagonal(self.ORDER):
+            coeffs[g] = sign
+        assert by_factors.coeffs == tuple(coeffs)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 60, 250, 500, 501])
+    def test_times_euler_matches_one_pass_per_factor(self, k):
+        rng = random.Random(k)
+        s = TruncatedSeries([rng.randint(-9, 9) for _ in range(self.ORDER + 1)])
+        by_factors = s
+        for n in range(1, self.ORDER // k + 1):
+            by_factors = by_factors.times_binomial(k * n, -1)
+        assert _times_euler(s, k) == by_factors
+
+
+class TestHugeModulus:
+    # Past t > order (4t > order for sc2t) every Euler factor is 1 modulo
+    # q^(order + 1); the builders must not step through t copies of it.
+    def test_core_product(self):
+        expected = series_from_counts(partition_count_table(10), 1, 10)
+        assert core_product_series(11, 10) == expected
+        assert core_product_series(10**12, 10) == expected
+
+    def test_sc_even_core_product(self):
+        expected = series_from_counts(sc_count_table(10), 1, 10)
+        assert sc_even_core_product_series(3, 10) == expected
+        assert sc_even_core_product_series(10**12, 10) == expected
 
 
 class TestTriangular:

@@ -332,6 +332,22 @@ def test_thm31_mu_side_catches_a_builder_that_keeps_its_hooks(monkeypatch):
     assert report.counterexample["reason"] == "phi(psi) round trip"
 
 
+@pytest.mark.parametrize("flipped", [1, 2, 5, 7, 12, 15])
+def test_eq11_catches_a_flipped_pentagonal_sign(monkeypatch, flipped):
+    # core_product_series multiplies by Euler products term by term; with any
+    # one sign flipped among the terms its first modulus, t = 2, reads at
+    # order 40, eq1.1 at the defaults must fail where the flip first shows.
+    pentagonal = verify.series._pentagonal
+
+    def one_sign_flipped(limit):
+        return ((g, -sign if g == flipped else sign) for g, sign in pentagonal(limit))
+
+    monkeypatch.setattr(verify.series, "_pentagonal", one_sign_flipped)
+    report = verify.run_check("eq1.1")
+    assert not report.passed
+    assert (report.counterexample["t"], report.counterexample["exponent"]) == (2, 2 * flipped)
+
+
 # The checks whose laws run per self-conjugate partition, as rows of one walk.
 PER_PARTITION = ("lem2.2", "prop2.3", "thm3.1", "prop4.2", "thm4.4", "prop4.4", "cor4.5")
 
