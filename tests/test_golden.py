@@ -51,6 +51,9 @@ CASES = (
                                   "--max", "5"], False),
     ("verify-all-small", ["verify", "--all", "--max-weight", "12", "--order", "10",
                           "--max-mu", "4", "--max-m", "2", "--seed", "9"], False),
+    # thm3.1's mu side runs to weight 14, past lem4.1's weights (up to 10).
+    ("verify-all-mu-past-lem4.1", ["verify", "--all", "--max-weight", "10", "--max-mu", "14",
+                                   "--max-m", "2"], False),
 )
 
 _ELAPSED = re.compile(r'"elapsed_ms": [0-9.e+-]+')

@@ -357,10 +357,12 @@ def _untimed(report):
 
 
 def test_run_checks_matches_run_check_per_id():
-    shared = verify.run_checks(verify.all_ids(), **SMALL)
-    assert [r.theorem for r in shared] == verify.all_ids()
-    solo = [verify.run_check(t, **SMALL) for t in verify.all_ids()]
-    assert [_untimed(r) for r in shared] == [_untimed(r) for r in solo]
+    # The second bounds take thm3.1's mu side past lem4.1's weights (up to 10).
+    for bounds in (SMALL, dict(max_weight=10, order=12, max_mu_weight=14, max_class=2, seed=3)):
+        shared = verify.run_checks(verify.all_ids(), **bounds)
+        assert [r.theorem for r in shared] == verify.all_ids()
+        solo = [verify.run_check(t, **bounds) for t in verify.all_ids()]
+        assert [_untimed(r) for r in shared] == [_untimed(r) for r in solo]
 
 
 def test_run_checks_rejects_an_unknown_id_before_any_check_runs(monkeypatch):
