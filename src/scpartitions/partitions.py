@@ -153,16 +153,6 @@ class Partition:
             d = i
         return d
 
-    def hook_length(self, i: int, j: int) -> int:
-        """Hook length of box (i, j): boxes to the right, below, and itself.
-
-        Raises IndexError when (i, j) lies outside the diagram; a hook
-        length of an actual box is always at least 1.
-        """
-        if not (1 <= i <= len(self._parts) and 1 <= j <= self._parts[i - 1]):
-            raise IndexError(f"box ({i}, {j}) is outside the diagram of {self!r}")
-        return self._parts[i - 1] + self._conjugate_parts()[j - 1] - i - j + 1
-
     def hook_multiset(self) -> Counter:
         """Multiset of all hook lengths, keyed by value; total equals the weight.
 

@@ -4,8 +4,9 @@ Each registered check sweeps a bounded input range, stops at the first
 counterexample, and reports the swept parameters so a failure can be
 replayed through the library directly. All comparisons are exact.
 
-Seven checks are laws about one self-conjugate partition and its image
-under phi: rows (_Law) of one shared walk over those partitions (_walk).
+Eight checks are laws about one partition: rows (_Law) of two walks
+(_walk), one over the self-conjugate partitions and their images under
+phi, one over all partitions. thm3.1 has a row in each.
 """
 
 from __future__ import annotations
@@ -83,46 +84,45 @@ def _first_counterexample(params: dict, *phases, per_case: int = 1):
 
 
 class _Law(NamedTuple):
-    """A per-partition law, one row of the walk (see _walk).
+    """A per-partition law, one row of a walk (see _walk).
 
-    law(sc, image) runs on every self-conjugate partition sc of weight
-    min_weight..max_weight, with image = phi(sc) when reads_image and None
-    otherwise. It returns None when sc holds, else the counterexample
-    payload; a law with per_case > 1 checks that many cases per partition
-    and returns (cases run, the failing one included; payload). after(b),
-    when given, is a phase (cases, law) run once the walk has passed.
-    params(b) gives the report's params.
+    over names the walk: "sc" for the self-conjugate partitions, "p" for
+    all partitions. law(x, image, b) runs on every partition x of each
+    weight in weights(b), with image = phi(x) when reads_image (an "sc"
+    row) and None otherwise. It returns None when its cases on x hold, of
+    which there are cases(b), else (cases run, the failing one included;
+    payload). params(b) gives the report's params.
     """
 
     law: Callable
-    reads_image: bool
+    over: str
+    reads_image: bool = False
     params: Callable = lambda b: {"max_weight": b.max_weight}
-    min_weight: int = 0
-    per_case: int = 1
-    after: Callable | None = None
+    weights: Callable = lambda b: range(b.max_weight + 1)
+    cases: Callable = lambda b: 1
 
 
-def _lem22(sc, image):
+def _lem22(sc, image, b):
     # Direct: the built partition's first column. Derived: from its hooks alone.
     hooks = sc.diagonal_hooks()
     direct = sc.beta_set()
     derived = beta_from_diagonal(hooks)
     if direct != derived:
-        return {
+        return 1, {
             "diagonal": ",".join(map(str, hooks)),
             "beta_direct": list(direct),
             "beta_derived": list(derived),
         }
 
 
-def _prop23(sc, image):
+def _prop23(sc, image, b):
     m = bijection.classify(sc)
     dp = sc.disparity()
     if dp != _triangular(m):
-        return {"partition": str(sc), "class": m, "disparity": dp, "expected": _triangular(m)}
+        return 1, {"partition": str(sc), "class": m, "disparity": dp, "expected": _triangular(m)}
 
 
-def _thm31(sc, image):
+def _thm31(sc, image, b):
     m, mu = image
     if sc.weight != 4 * mu.weight + _triangular(m):
         reason = "weight law"
@@ -130,38 +130,29 @@ def _thm31(sc, image):
         reason = "psi(phi) round trip"
     else:
         return None
-    return {"partition": str(sc), "class": m, "mu": str(mu), "reason": reason}
+    return 1, {"partition": str(sc), "class": m, "mu": str(mu), "reason": reason}
 
 
 def _thm31_params(b: SweepBounds) -> dict:
     return {"max_weight": b.max_weight, "max_mu_weight": b.max_mu_weight, "max_class": b.max_class}
 
 
-def _thm31_mu_side(b: SweepBounds):
-    def law(case):
-        mu, m = case
+def _thm31_mu(mu, image, b):
+    for m in range(b.max_class + 1):
         # psi's output carries the hooks psi chose; phi must read them back
         # from its parts, so a fresh Partition derives them.
-        image = bijection.phi(Partition(bijection.psi(m, mu).parts))
-        if image.m != m or image.mu != mu:
-            return {"mu": str(mu), "class": m, "reason": "phi(psi) round trip"}
-
-    images = (
-        (mu, m)
-        for w in range(b.max_mu_weight + 1)
-        for mu in enumeration.partitions_of(w)
-        for m in range(b.max_class + 1)
-    )
-    return images, law
+        back = bijection.phi(Partition(bijection.psi(m, mu).parts))
+        if back.m != m or back.mu != mu:
+            return m + 1, {"mu": str(mu), "class": m, "reason": "phi(psi) round trip"}
 
 
-def _prop42(sc, image):
+def _prop42(sc, image, b):
     mu = image.mu
     top = sc.diagonal_hooks()[0]
     expected = mu.conjugate().beta_set() if top % 4 == 1 else mu.beta_set()
     got = bijection.half_even_beta(sc)
     if got != expected:
-        return {
+        return 1, {
             "partition": str(sc),
             "half_even_beta": list(got),
             "expected": list(expected),
@@ -169,7 +160,7 @@ def _prop42(sc, image):
         }
 
 
-def _thm44(sc, image):
+def _thm44(sc, image, b):
     mu = image.mu
     sc_hooks = sc.hook_multiset()
     mu_hooks = mu.hook_multiset()
@@ -178,7 +169,7 @@ def _thm44(sc, image):
     if evens != doubled:
         diff = sorted(set(evens) | set(doubled))
         k = next(x for x in diff if evens.get(x, 0) != doubled.get(x, 0))
-        return {
+        return 1, {
             "partition": str(sc),
             "mu": str(mu),
             "k": k,
@@ -187,20 +178,20 @@ def _thm44(sc, image):
         }
     odd_count = sum(c for h, c in sc_hooks.items() if h % 2)
     if odd_count != sc.weight - 2 * mu.weight:
-        return {
+        return 1, {
             "partition": str(sc),
             "odd_hooks": odd_count,
             "expected": sc.weight - 2 * mu.weight,
         }
 
 
-def _prop44(sc, image):
+def _prop44(sc, image, b):
     mu = image.mu
     top = sc.diagonal_hooks()[0]
     shortcut = bijection.corresponding_partition_after_deletion(mu, top % 4)
     direct = bijection.phi(bijection.delete_principal_hook(sc)).mu
     if shortcut != direct:
-        return {
+        return 1, {
             "partition": str(sc),
             "mu": str(mu),
             "after_deletion": str(shortcut),
@@ -216,7 +207,7 @@ def _cor45_params(b: SweepBounds) -> dict:
     return {"max_weight": b.max_weight, "moduli": [list(ts) for ts in _CORE_EQUIV_MODULI]}
 
 
-def _cor45(sc, image):
+def _cor45(sc, image, b):
     mu = image.mu
     for k, (ts, doubled) in enumerate(_DOUBLED_MODULI, start=1):
         lhs = sc.is_simultaneous_core(doubled)
@@ -260,18 +251,12 @@ def _check_prop34(b: SweepBounds):
     return _first_counterexample(params, (on_congruence, law), (off_congruence, law))
 
 
-def _check_lem41(b: SweepBounds):
-    cap = min(b.max_weight, 25)
-
-    def law(mu):
-        corner = mu.hook_length(1, 1)
-        expected = frozenset(range(1, corner + 1)).difference(mu.conjugate().beta_set())
-        got = bijection.complement_beta(mu)
-        if got != expected:
-            return {"mu": str(mu), "complement": sorted(got), "expected": sorted(expected)}
-
-    images = (mu for w in range(1, cap + 1) for mu in enumeration.partitions_of(w))
-    return _first_counterexample({"max_mu_weight": cap}, (images, law))
+def _lem41(mu, image, b):
+    corner = mu.parts[0] + len(mu) - 1
+    expected = frozenset(range(1, corner + 1)).difference(mu.conjugate().beta_set())
+    got = bijection.complement_beta(mu)
+    if got != expected:
+        return 1, {"mu": str(mu), "complement": sorted(got), "expected": sorted(expected)}
 
 
 _SIM_PAIRS = ((4, 6), (6, 8))
@@ -466,29 +451,46 @@ def _check_ringlaws(b: SweepBounds):
     return _first_counterexample(params, (cases, law))
 
 
+# A check is a function of the bounds returning (params, cases, counterexample),
+# or a tuple of per-partition rows (_Law), at most one per walk, in walk order.
 CHECKS = {
-    "lem2.2": ("first-column hook set rebuilt from diagonal hooks", _Law(_lem22, False)),
-    "prop2.3": ("disparity equals the class triangular number", _Law(_prop23, False)),
+    "lem2.2": ("first-column hook set rebuilt from diagonal hooks", (_Law(_lem22, "sc"),)),
+    "prop2.3": ("disparity equals the class triangular number", (_Law(_prop23, "sc"),)),
     "thm3.1": (
         "class-m correspondence round trips both ways",
-        _Law(_thm31, True, _thm31_params, after=_thm31_mu_side),
+        (
+            _Law(_thm31, "sc", True, _thm31_params),
+            _Law(
+                _thm31_mu, "p",
+                weights=lambda b: range(b.max_mu_weight + 1), cases=lambda b: b.max_class + 1,
+            ),
+        ),
     ),
     "prop3.4": ("class-m self-conjugate counts reduce to p(k)", _check_prop34),
-    "lem4.1": ("corner-hook differences complement the first-row hooks", _check_lem41),
+    "lem4.1": (
+        "corner-hook differences complement the first-row hooks",
+        (
+            _Law(
+                _lem41, "p",
+                params=lambda b: {"max_mu_weight": min(b.max_weight, 25)},
+                weights=lambda b: range(1, min(b.max_weight, 25) + 1),
+            ),
+        ),
+    ),
     "prop4.2": (
         "half-even first-column hooks match the image partition",
-        _Law(_prop42, True, min_weight=1),
+        (_Law(_prop42, "sc", True, weights=lambda b: range(1, b.max_weight + 1)),),
     ),
     "thm4.4": (
-        "even hooks 2k appear twice as often as image hooks k", _Law(_thm44, True)
+        "even hooks 2k appear twice as often as image hooks k", (_Law(_thm44, "sc", True),)
     ),
     "prop4.4": (
         "principal-hook deletion commutes with the correspondence",
-        _Law(_prop44, True, min_weight=1),
+        (_Law(_prop44, "sc", True, weights=lambda b: range(1, b.max_weight + 1)),),
     ),
     "cor4.5": (
         "doubled-modulus cores correspond to cores of the image",
-        _Law(_cor45, True, _cor45_params, per_case=4),
+        (_Law(_cor45, "sc", True, _cor45_params, cases=lambda b: 4),),
     ),
     "prop4.6": ("class-m simultaneous-core counts reduce to ordinary ones", _check_prop46),
     "cor4.8": ("Catalan/Motzkin totals for consecutive even moduli", _check_cor48),
@@ -511,87 +513,84 @@ def _report(theorem: str, params: dict, cases: int, counterexample, seconds: flo
     return VerificationReport(theorem, passed, params, cases, counterexample, seconds * 1000.0)
 
 
-def _walk(rows: dict, b: SweepBounds) -> dict:
-    """One walk over the self-conjugate partitions for the rows {theorem: _Law}.
+def _walk(checks: dict, b: SweepBounds) -> dict:
+    """Run the walked checks {theorem: rows}; returns {theorem: report}.
 
-    Weights go up from 0 to b.max_weight. Each partition is built once and
-    mapped by phi at most once, and only while a live row reads the image.
-    A row retires at its first counterexample, and no partition is built
-    once every row has. A row's time is the walk's until it retired or
-    ended, plus its own after phase; no clock is read per partition.
-    Returns {theorem: report}.
+    The walk over the self-conjugate partitions runs first, then the walk
+    over all partitions, each up the weights its rows are live at. A
+    check's row in the second walk runs only if its first row passed.
+    Each partition is built once and mapped by phi at most once, and only
+    while a live row reads the image. A row retires at its first
+    counterexample, and no partition is built once every row has. A row's
+    time is its walk's until it retired or the walk ended; no clock is
+    read per partition. A report sums its rows' cases and times and takes
+    the first row's params.
     """
-    cases, found, spent = dict.fromkeys(rows, 0), {}, {}
-    clock, phi = time.perf_counter, bijection.phi
-    start = clock()
-
-    def retire(t, payload):
-        if rows[t].per_case > 1:
-            # The law names how many of its cases ran on the failing partition.
-            ran, payload = payload
-            cases[t] += ran - rows[t].per_case
-        found[t], spent[t] = payload, clock() - start
+    cases, found, spent = dict.fromkeys(checks, 0), {}, dict.fromkeys(checks, 0.0)
+    clock = time.perf_counter
 
     def live_at(n):
-        # The rows live at weight n, whether one reads the image, and how many have retired.
-        live = [(t, law.law, law.per_case) for t, law in rows.items()
-                if t not in found and law.min_weight <= n]
-        return live, any(rows[t].reads_image for t, _, _ in live), len(found)
+        # The current walk's rows live at weight n, whether one reads the
+        # image, and how many rows have retired.
+        live = [(t, row.law, per_case) for t, (row, weights, per_case) in rows.items()
+                if t not in found and n in weights]
+        return live, any(rows[t][0].reads_image for t, _, _ in live), len(found)
 
-    for n in range(b.max_weight + 1):
-        live, reads_image, retired = live_at(n)
-        for sc in enumeration.self_conjugate_of(n) if live else ():
-            image = phi(sc) if reads_image else None
-            for t, law, per_case in live:
-                cases[t] += per_case
-                payload = law(sc, image)
-                if payload is not None:
-                    retire(t, payload)
-            if len(found) != retired:
-                # The rest of the weight goes on without the retired rows.
-                live, reads_image, retired = live_at(n)
-                if not live:
-                    break
-    end = clock()
-    for t, law in rows.items():
-        if t not in found:
-            mark = clock()
-            if law.after is not None:
-                _, ran, found[t] = _first_counterexample(None, law.after(b))
-                cases[t] += ran
-            spent[t] = end - start + clock() - mark
-    return {t: _report(t, law.params(b), cases[t], found.get(t), spent[t])
-            for t, law in rows.items()}
-
-
-def _law_rows(theorems) -> dict:
-    """{theorem: _Law} for the per-partition laws among theorems, the rows
-    of the walk; raises KeyError for an unknown id."""
-    for theorem in theorems:
-        if theorem not in CHECKS:
-            raise KeyError(f"unknown check id: {theorem!r}")
-    return {t: CHECKS[t][1] for t in theorems if isinstance(CHECKS[t][1], _Law)}
+    walks = (
+        ("sc", enumeration.self_conjugate_of, bijection.phi),
+        ("p", enumeration.partitions_of, None),
+    )
+    for over, partitions, phi in walks:
+        # A check that failed in the first walk has no live row in the second.
+        rows = {t: (row, row.weights(b), row.cases(b))
+                for t, check in checks.items() if t not in found
+                for row in check if row.over == over}
+        start = clock()
+        for n in sorted(set().union(*(weights for _, weights, _ in rows.values()))):
+            live, reads_image, retired = live_at(n)
+            for x in partitions(n) if live else ():
+                image = phi(x) if reads_image else None
+                for t, law, per_case in live:
+                    failed = law(x, image, b)
+                    if failed is None:
+                        cases[t] += per_case
+                    else:
+                        ran, found[t] = failed
+                        cases[t] += ran
+                        spent[t] += clock() - start
+                if len(found) != retired:
+                    # The rest of the weight goes on without the retired rows.
+                    live, reads_image, retired = live_at(n)
+                    if not live:
+                        break
+        end = clock()
+        for t in rows.keys() - found.keys():
+            spent[t] += end - start
+    return {t: _report(t, check[0].params(b), cases[t], found.get(t), spent[t])
+            for t, check in checks.items()}
 
 
 def run_check(theorem: str, **overrides) -> VerificationReport:
-    """Run one registered check, a per-partition law as a walk with one
-    row; raises KeyError for an unknown id."""
-    rows = _law_rows([theorem])
+    """Run one registered check, a walked one as a walk of its own rows;
+    raises KeyError for an unknown id."""
+    check = CHECKS[theorem][1]
     bounds = SweepBounds(**overrides)
-    if rows:
-        return _walk(rows, bounds)[theorem]
+    if isinstance(check, tuple):
+        return _walk({theorem: check}, bounds)[theorem]
     start = time.perf_counter()
-    params, cases, counterexample = CHECKS[theorem][1](bounds)
+    params, cases, counterexample = check(bounds)
     return _report(theorem, params, cases, counterexample, time.perf_counter() - start)
 
 
 def run_checks(theorems: list[str], **overrides) -> list[VerificationReport]:
     """Run registered checks and return their reports in the order given.
 
-    The per-partition laws among them share one walk (_walk), run first;
+    The walked checks among them share the two walks (_walk), run first;
     every other check then runs through run_check, one by one in the order
     given, so each stays a separately timed call. Raises KeyError for an
     unknown id before any check runs.
     """
-    walked = _walk(_law_rows(theorems), SweepBounds(**overrides))
+    checks = {t: CHECKS[t][1] for t in theorems}
+    bounds = SweepBounds(**overrides)
+    walked = _walk({t: c for t, c in checks.items() if isinstance(c, tuple)}, bounds)
     return [walked[t] if t in walked else run_check(t, **overrides) for t in theorems]

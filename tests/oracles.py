@@ -54,16 +54,18 @@ def hooks_by_cells(parts):
     return sorted(out)
 
 
-def hooks_by_formula(parts):
-    """Hook multiset by the per-box formula row_i + col_j - i - j + 1.
-
-    The columns come from transpose_by_cells; only lengths that occur are keys.
-    """
+def hook_table(parts):
+    """Hook length of each box (i, j), row by row, by the per-box formula
+    row_i + col_j - i - j + 1; the columns come from transpose_by_cells."""
     conj = transpose_by_cells(parts)
-    hooks = []
-    for i, row in enumerate(parts, start=1):
-        hooks.extend(row + conj[j] - i - j for j in range(row))
-    return Counter(hooks)
+    return tuple(
+        tuple(row + conj[j] - i - j for j in range(row)) for i, row in enumerate(parts, start=1)
+    )
+
+
+def hooks_by_formula(parts):
+    """Hook multiset counted off hook_table; only lengths that occur are keys."""
+    return Counter(h for row in hook_table(parts) for h in row)
 
 
 def beta_core(beta, ts):

@@ -15,7 +15,7 @@ from scpartitions import (
     self_conjugate_of,
 )
 
-from oracles import phi_by_definition, psi_by_definition
+from oracles import hook_table, phi_by_definition, psi_by_definition
 
 LAM = sc_from_diagonal([21, 15, 13, 9, 3, 1])    # class 3, weight 62
 LAM_T = sc_from_diagonal([31, 19, 11, 5])        # class 4, weight 66
@@ -181,7 +181,7 @@ class TestComplementBeta:
     def test_complements_first_row_hooks_up_to_25(self):
         for w in range(1, 26):
             for mu in partitions_of(w):
-                corner = mu.hook_length(1, 1)
+                corner = hook_table(mu.parts)[0][0]
                 expected = set(range(1, corner + 1)) - set(mu.conjugate().beta_set())
                 assert complement_beta(mu) == expected
 

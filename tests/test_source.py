@@ -108,11 +108,11 @@ def test_only_partitions_sets_a_known_conjugate():
 
 
 def test_verify_walks_the_self_conjugate_partitions_at_one_site():
-    # The per-partition laws are rows of one walk: verify.py names a
-    # self-conjugate generator only in _walk, and there only once.
+    # The per-partition laws are rows of two walks: verify.py names a
+    # partition generator only in _walk, and there each of the two once.
     path = Path(scpartitions.__file__).parent / "verify.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    generators = {"self_conjugate_of", "distinct_odd_decompositions", "_odd_desc"}
+    generators = {"self_conjugate_of", "partitions_of", "distinct_odd_decompositions", "_odd_desc"}
     sites = []
     for top in tree.body:
         for node in ast.walk(top):
@@ -125,7 +125,7 @@ def test_verify_walks_the_self_conjugate_partitions_at_one_site():
             else:
                 continue
             sites += [(getattr(top, "name", None), name) for name in names if name in generators]
-    assert sites == [("_walk", "self_conjugate_of")]
+    assert sorted(sites) == [("_walk", "partitions_of"), ("_walk", "self_conjugate_of")]
 
 
 def _modules_loaded(code: str) -> set:

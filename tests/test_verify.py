@@ -348,7 +348,7 @@ def test_eq11_catches_a_flipped_pentagonal_sign(monkeypatch, flipped):
     assert (report.counterexample["t"], report.counterexample["exponent"]) == (2, 2 * flipped)
 
 
-# The checks whose laws run per self-conjugate partition, as rows of one walk.
+# The checks with a row in the walk over the self-conjugate partitions.
 PER_PARTITION = ("lem2.2", "prop2.3", "thm3.1", "prop4.2", "thm4.4", "prop4.4", "cor4.5")
 
 
@@ -438,8 +438,8 @@ def test_walk_reads_the_clock_per_row_not_per_partition(monkeypatch):
     monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=perf_counter))
     reports = verify.run_checks(PER_PARTITION, max_weight=20)
     assert reports[0].cases == sum(verify.enumeration.sc_count_table(20).rows) == 56
-    # At the walk's start and end, and per row once as it retires or twice
-    # as the walk ends (around its after phase, if it has one).
+    # At each walk's start and end (thm3.1's mu side is a second walk), and
+    # per row once as it retires.
     assert len(reads) <= 2 + 2 * len(PER_PARTITION)
 
 
@@ -463,3 +463,61 @@ def test_walk_stops_once_every_row_has_retired(monkeypatch):
     reports = verify.run_checks(["prop2.3", "lem2.2"], max_weight=157)
     assert [r.cases for r in reports] == [10, 8]
     assert weights == [(n,) for n in range(10)]
+
+
+# The checks with a row in the walk over all partitions.
+MU_WALK = ("thm3.1", "lem4.1")
+
+
+@pytest.mark.parametrize(
+    "theorem, target, defect, bounds, cases, counterexample",
+    [row for row in DEFECT_TABLE if row[0] in MU_WALK],
+)
+def test_a_failing_row_of_the_mu_walk_neither_shortens_nor_pads_another(
+    monkeypatch, theorem, target, defect, bounds, cases, counterexample
+):
+    owner, name = target
+    monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
+    shared = verify.run_checks(MU_WALK, **bounds)
+    solo = [verify.run_check(t, **bounds) for t in MU_WALK]
+    assert [_untimed(r) for r in shared] == [_untimed(r) for r in solo]
+    failing = shared[MU_WALK.index(theorem)]
+    assert (failing.cases, failing.counterexample) == (cases, counterexample)
+
+
+def test_the_mu_walk_builds_each_weight_once_for_both_rows(monkeypatch):
+    # At the defaults lem4.1 reads weights 1..25 and thm3.1's mu side 0..12:
+    # one walk streams each weight once, and both rows see the same partitions.
+    weights = _counting(monkeypatch, verify.enumeration, "partitions_of")
+    complemented = _counting(monkeypatch, verify.bijection, "complement_beta")
+    mapped = _counting(monkeypatch, verify.bijection, "psi")
+    lem41, thm31 = verify.run_checks(["lem4.1", "thm3.1"])
+    assert lem41.passed and thm31.passed
+    assert weights == [(n,) for n in range(26)]
+    counts = verify.enumeration.partition_count_table(25).rows
+    seen = {id(mu) for (mu,) in complemented}
+    assert lem41.cases == len(complemented) == len(seen) == sum(counts) - 1
+    # psi also runs in the self-conjugate walk, on phi's images.
+    shared = seen.intersection(id(mu) for _, mu in mapped)
+    assert len(shared) == sum(counts[1:13])
+
+
+def test_thm31_failing_on_its_self_conjugate_row_skips_its_mu_row(monkeypatch):
+    # psi never round trips, so the first self-conjugate partition, the empty
+    # one, fails; the report carries that one case, and no mu walk starts.
+    monkeypatch.setattr(verify.bijection, "psi", lambda m, mu: Partition([1]))
+    weights = _counting(monkeypatch, verify.enumeration, "partitions_of")
+    report = verify.run_check("thm3.1")
+    assert (report.cases, report.counterexample["reason"]) == (1, "psi(phi) round trip")
+    assert weights == []
+    # Beside lem4.1 the mu walk runs for lem4.1 alone, from weight 1.
+    thm31, lem41 = verify.run_checks(["thm3.1", "lem4.1"])
+    assert _untimed(thm31) == _untimed(report)
+    assert lem41.passed
+    assert weights == [(n,) for n in range(1, 26)]
+
+
+def test_lem41_caps_its_weights_at_25():
+    report = verify.run_check("lem4.1", max_weight=40)
+    assert report.params == {"max_mu_weight": 25}
+    assert report.cases == sum(verify.enumeration.partition_count_table(25).rows) - 1
