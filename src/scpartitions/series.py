@@ -4,15 +4,15 @@ A series of order N stores coefficients of q^0 .. q^N; addition and
 multiplication are exact modulo q^(N+1). Coefficients are plain Python
 integers, so identity checks can never wrap. Infinite products are cut
 at the first factor whose lowest non-constant exponent exceeds N, which
-leaves every kept coefficient exact. A sparse factor, 1/(1 - q^k) or
-1 +- q^k, is one O(N) pass over the coefficients. By Euler's pentagonal
-number theorem a whole product prod_n (1 - q^(kn)) has O(sqrt(N/k))
-terms, one pass each, and prod_n 1/(1 - q^n) is the series of p(n): the
-t-core builder costs O(N^1.5), the two builders with N/2 odd factors
-O(N^2). A dense product (`*`) is one big-integer multiply by
-Kronecker substitution, O(N^1.58) in C (Karatsuba) for digits of a fixed
-width; packing the coefficients into digits and reading them back are
-O(N) passes at C speed.
+leaves every kept coefficient exact. A sparse factor 1/(1 - q^k) is one
+O(N) pass over the coefficients. By Euler's pentagonal number theorem a
+whole product prod_n (1 - q^(kn)) has O(sqrt(N/k)) terms, one pass each,
+and prod_n 1/(1 - q^n) is the series of p(n): the t-core and
+self-conjugate even-core builders cost O(N^1.5), the Gauss builder, with
+its N/2 odd factors one pass each, O(N^2). A dense product (`*`) is one
+big-integer multiply by Kronecker substitution, O(N^1.58) in C
+(Karatsuba) for digits of a fixed width; packing the coefficients into
+digits and reading them back are O(N) passes at C speed.
 """
 
 from __future__ import annotations
@@ -129,17 +129,6 @@ class TruncatedSeries:
             out += map(operator.add, c[start : start + period], out[start - period : start])
         return TruncatedSeries._from_coeffs(out)
 
-    def times_binomial(self, exponent: int, sign: int) -> "TruncatedSeries":
-        """Multiply by 1 + sign * q^exponent, for sign = 1 or -1."""
-        if exponent < 1:
-            raise ValueError(f"exponent must be >= 1, got {exponent}")
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be 1 or -1, got {sign}")
-        # out[k] = c[k] + sign * c[k - exponent] for k >= exponent, in one pass.
-        c = self._coeffs
-        combine = operator.add if sign == 1 else operator.sub
-        return TruncatedSeries._from_coeffs(c[:exponent] + tuple(map(combine, c[exponent:], c)))
-
     def to_json_dict(self) -> dict:
         return {"order": self.order, "coefficients": list(self._coeffs)}
 
@@ -241,17 +230,22 @@ def sc_even_core_product_series(t: int, order: int) -> TruncatedSeries:
 
     Expands prod over n >= 1 of (1 - q^(4nt))^t (1 + q^(2n-1)); its
     coefficient at q^n counts self-conjugate 2t-core partitions of n.
-    The t Euler factors take O(sqrt(order / 4t)) passes each (none once
-    4t > order); the order / 2 odd factors take one pass each, O(order^2).
+    Each odd factor is the quotient (1 - q^(4n-2)) / (1 - q^(2n-1)), so
+    with (a; a) = prod over n >= 1 of (1 - a^n) their product is
+    (q^2; q^2)^2 / ((q; q) (q^4; q^4)). The even half (q^2; q^2)^2 / (q; q)
+    is the series of p(n) times two Euler products in q^2; the quarter
+    half (q^(4t); q^(4t))^t / (q^4; q^4) is p(n) at q^(4n) times t Euler
+    products in q^(4t) (none once 4t > order). Each half is O(order^1.5)
+    and their product is one dense multiply of small coefficients.
     """
     check_moduli((t,))
-    out = TruncatedSeries.one(order)
+    even = _times_euler(series_from_counts(partition_count_table(order), 1, order), 2)
+    even = _times_euler(even, 2)
+    quad = series_from_counts(partition_count_table(order // 4), 4, order)
     if 4 * t <= order:
         for _ in range(t):
-            out = _times_euler(out, 4 * t)
-    for odd in range(1, order + 1, 2):
-        out = out.times_binomial(odd, 1)
-    return out
+            quad = _times_euler(quad, 4 * t)
+    return even * quad
 
 
 def gauss_product_series(order: int) -> TruncatedSeries:
@@ -259,7 +253,10 @@ def gauss_product_series(order: int) -> TruncatedSeries:
 
     Equals the triangular-exponent series to any order. The numerator is
     one Euler product, O(sqrt(order)) passes; the order / 2 odd factors
-    take one pass each, O(order^2).
+    take one pass each, O(order^2). By the quotient the even-core builder
+    uses, this product is (q^2; q^2)^2 / (q; q), that builder's even half;
+    it keeps its odd factors so that the gauss check does not rerun eq1.2's
+    passes, and they are the library's use of times_geometric.
     """
     out = _times_euler(TruncatedSeries.one(order), 2)
     for odd in range(1, order + 1, 2):

@@ -15,6 +15,7 @@ per factor: they reach orders the dense expansions cannot, and share no
 pentagonal numbers and no p(n) with the builders they check.
 """
 
+import operator
 from collections import Counter
 from functools import lru_cache
 
@@ -291,33 +292,45 @@ def gauss_product_dense(order):
     return expand_factors(factors, order)
 
 
+def binomial_pass(s: TruncatedSeries, exponent: int, sign: int) -> TruncatedSeries:
+    """s times 1 + sign * q^exponent, for sign = 1 or -1, in one pass."""
+    if exponent < 1:
+        raise ValueError(f"exponent must be >= 1, got {exponent}")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign}")
+    # out[k] = c[k] + sign * c[k - exponent] for k >= exponent.
+    c = s.coeffs
+    combine = operator.add if sign == 1 else operator.sub
+    return TruncatedSeries._from_coeffs(c[:exponent] + tuple(map(combine, c[exponent:], c)))
+
+
 def core_product_by_factors(t: int, order: int) -> TruncatedSeries:
-    """prod (1 - q^(nt))^t / (1 - q^n), one times_geometric or times_binomial pass per factor."""
+    """prod (1 - q^(nt))^t / (1 - q^n), one times_geometric or binomial_pass per factor."""
     check_moduli((t,))
     out = TruncatedSeries.one(order)
     for n in range(1, order + 1):
         out = out.times_geometric(n)
     for n in range(1, order // t + 1):
         for _ in range(t):
-            out = out.times_binomial(n * t, -1)
+            out = binomial_pass(out, n * t, -1)
     return out
 
 
 def sc_even_core_product_by_factors(t: int, order: int) -> TruncatedSeries:
-    """prod (1 - q^(4nt))^t (1 + q^(2n-1)), one times_binomial pass per factor."""
+    """prod (1 - q^(4nt))^t (1 + q^(2n-1)), one binomial_pass per factor."""
     check_moduli((t,))
     out = TruncatedSeries.one(order)
     for n in range(1, order // (4 * t) + 1):
         for _ in range(t):
-            out = out.times_binomial(4 * n * t, -1)
+            out = binomial_pass(out, 4 * n * t, -1)
     for odd in range(1, order + 1, 2):
-        out = out.times_binomial(odd, 1)
+        out = binomial_pass(out, odd, 1)
     return out
 
 
 def gauss_product_by_factors(order: int) -> TruncatedSeries:
-    """prod (1 - q^(2n)) / (1 - q^(2n-1)), one times_geometric or times_binomial pass per factor."""
+    """prod (1 - q^(2n)) / (1 - q^(2n-1)), one times_geometric or binomial_pass per factor."""
     out = TruncatedSeries.one(order)
     for odd in range(1, order + 1, 2):
-        out = out.times_geometric(odd).times_binomial(odd + 1, -1)
+        out = binomial_pass(out.times_geometric(odd), odd + 1, -1)
     return out

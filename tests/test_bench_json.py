@@ -10,12 +10,14 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_json.py"
 
 
-def record(directory, sha, workload, seed, pass_cost, trace=0):
+def record(directory, sha, workload, seed, pass_cost, trace=0, passes=None):
     body = {
         "workload": workload, "seed": seed, "seconds": 40, "trace": trace,
         "python": "3.11.7", "nproc": 2, "git_sha": sha, "failed": 0, "attempted": 10,
         "metrics": {"pass_cost": {"value": pass_cost, "unit": "ref"}},
     }
+    if passes is not None:
+        body["passes"] = passes
     path = directory / f"{workload}-seed{seed}-trace{trace}.json"
     path.write_text(json.dumps(body))
 
@@ -61,6 +63,31 @@ def test_pairs_by_seed_and_parent_quartiles(tmp_path):
             "pass_cost": {"parent_quartiles": [11.0, 14.0, 17.0], "lower_pairs": [3, 4]}
         }
     }
+
+
+def test_per_operation_medians(tmp_path):
+    # passes: one {operation: [took, reference]} per pass. Per run, the median
+    # over passes of took / reference; per side, the median over runs.
+    runs = {
+        1: [{"gauss": [2.0, 1.0], "sc2t_gf(1)": [1.0, 2.0]},
+            {"gauss": [4.0, 1.0], "sc2t_gf(1)": [3.0, 2.0]}],  # gauss 3.0, sc2t_gf 1.0
+        2: [{"gauss": [5.0, 1.0]}, {"gauss": [5.0, 1.0]}, {"gauss": [8.0, 1.0]}],  # gauss 5.0
+        3: [{"gauss": [1.0, 2.0], "sc2t_gf(1)": [3.0, 1.0]}],  # gauss 0.5, sc2t_gf 3.0
+    }
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    for seed, passes in runs.items():
+        record(parent, "aaaa1111", "series-expand", seed, 1.0, passes=passes)
+    record(parent, "aaaa1111", "series-expand", 4, 1.0)  # no passes: left out of "ops"
+    record(change, "bbbb2222", "series-expand", 1, 1.0, passes=[])
+    out = tmp_path / "bench.json"
+    assert run("--parent", "aaaa", "--change", "bbbb", "--out", out, parent, change).returncode == 0
+    summary = json.loads(out.read_text())
+    assert summary["parent"]["workloads"]["series-expand"]["ops"] == {
+        "gauss": 3.0, "sc2t_gf(1)": 2.0,
+    }
+    assert summary["change"]["workloads"]["series-expand"]["ops"] == {}
 
 
 def test_unknown_sha_refused(tmp_path):

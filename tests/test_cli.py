@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from oracles import sc_even_core_product_by_factors
 from scpartitions import cli, verify
 from scpartitions.enumeration import partition_count_table
 from scpartitions.verify import VerificationReport
@@ -260,6 +261,11 @@ class TestSeries:
         assert code == 0
         assert json.loads(out)["coefficients"] == [1, 1, 2]
 
+    def test_sc2t_gf_at_the_order_limit(self, capsys):
+        code, out, _ = run(capsys, "series", "--kind", "sc2t_gf", "--t", "3", "--order", "2000")
+        assert code == 0
+        assert json.loads(out) == sc_even_core_product_by_factors(3, 2000).to_json_dict()
+
     def test_missing_t_rejected(self, capsys):
         code, _, err = run(capsys, "series", "--kind", "core_gf", "--order", "4")
         assert code == 2
@@ -352,6 +358,31 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "gauss", "--max-mu", "0", "--max-m", "2000000")
         assert code == 2
         assert err.endswith("; the largest --max-mu admitted is none\n")
+
+    @pytest.mark.parametrize("m, weight", [(63, 2048), (120, 7292), (30000, 450015032)])
+    def test_class_limit_refuses_before_any_check(self, capsys, monkeypatch, m, weight):
+        # prop3.4 tabulates to weight 32 + T(--max-m) even at --max-mu 0, which the
+        # round-trip budget admits for any --max-m.
+        def no_checks(theorems, **bounds):
+            raise AssertionError("a check ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.verify, "run_checks", no_checks)
+            code, out, err = run(capsys, "verify", "prop3.4", "--max-mu", "0", "--max-m", str(m))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --max-m {m} would tabulate self-conjugate partitions to weight {weight},"
+            " past 2000; the largest --max-m admitted is 62\n"
+        )
+
+    def test_class_limit_edge(self, capsys):
+        # 32 + T(62) = 1985 is within the order limit; thm3.1 maps the 63 staircases back.
+        assert cli.CLASS_LIMIT == 62
+        code, out, _ = run(
+            capsys, "verify", "thm3.1", "--max-weight", "0", "--max-mu", "0", "--max-m", "62"
+        )
+        assert code == 0
+        assert json.loads(out)["params"]["max_class"] == 62
 
     def test_default_bounds_are_within_budget(self, capsys):
         bounds = verify.SweepBounds()

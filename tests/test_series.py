@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    binomial_pass,
     core_product_by_factors,
     core_product_dense,
     dense_product,
@@ -30,6 +31,7 @@ from scpartitions import (
     sim_core_count_table,
     triangular_series,
 )
+from scpartitions.cli import ORDER_LIMIT
 from scpartitions.enumeration import _pentagonal
 from scpartitions.series import _times_euler
 
@@ -83,12 +85,14 @@ class TestArithmetic:
 
 
 class TestTimesBinomial:
+    # The oracles' one-pass factor 1 +- q^k (binomial_pass, once the method
+    # TruncatedSeries.times_binomial), which the by-factor builders rest on.
     def test_plus(self):
-        s = TruncatedSeries([1, 2, 3, 4, 5], 4).times_binomial(2, 1)
+        s = binomial_pass(TruncatedSeries([1, 2, 3, 4, 5], 4), 2, 1)
         assert s.coeffs == (1, 2, 4, 6, 8)
 
     def test_minus(self):
-        s = TruncatedSeries([1, 2, 3, 4, 5], 4).times_binomial(2, -1)
+        s = binomial_pass(TruncatedSeries([1, 2, 3, 4, 5], 4), 2, -1)
         assert s.coeffs == (1, 2, 2, 2, 2)
 
     def test_matches_dense_product(self):
@@ -96,22 +100,22 @@ class TestTimesBinomial:
         for k in range(1, 6):
             for sign in (1, -1):
                 factor = TruncatedSeries.one(5) + TruncatedSeries([0] * k + [sign], 5)
-                assert s.times_binomial(k, sign) == s * factor
+                assert binomial_pass(s, k, sign) == s * factor
 
     def test_exponent_above_order_is_identity(self):
         s = TruncatedSeries([1, 2, 3], 2)
-        assert s.times_binomial(3, 1) == s
-        assert s.times_binomial(50, -1) == s
+        assert binomial_pass(s, 3, 1) == s
+        assert binomial_pass(s, 50, -1) == s
 
     @pytest.mark.parametrize("exponent", [0, -1])
     def test_exponent_below_one_rejected(self, exponent):
         with pytest.raises(ValueError, match="exponent"):
-            TruncatedSeries.one(4).times_binomial(exponent, 1)
+            binomial_pass(TruncatedSeries.one(4), exponent, 1)
 
     @pytest.mark.parametrize("sign", [0, 2, -2])
     def test_sign_other_than_one_rejected(self, sign):
         with pytest.raises(ValueError, match="sign"):
-            TruncatedSeries.one(4).times_binomial(1, sign)
+            binomial_pass(TruncatedSeries.one(4), 1, sign)
 
     def test_geometric_period_below_one_rejected(self):
         with pytest.raises(ValueError, match="period"):
@@ -121,7 +125,7 @@ class TestTimesBinomial:
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=15), st.integers(1, 20))
 def test_geometric_undoes_one_minus(coeffs, k):
     s = TruncatedSeries(coeffs)
-    assert s.times_binomial(k, -1).times_geometric(k) == s
+    assert binomial_pass(s, k, -1).times_geometric(k) == s
 
 
 # Small, zero and 200-bit coefficients: the digit width follows the data.
@@ -218,10 +222,19 @@ class TestBuildersMatchFactorByFactor:
     def test_core_product(self, t, order):
         assert core_product_series(t, order) == core_product_by_factors(t, order)
 
-    @pytest.mark.parametrize("order", FACTOR_ORDERS)
+    @pytest.mark.parametrize("order", FACTOR_ORDERS + (ORDER_LIMIT,))
     @pytest.mark.parametrize("t", BUILDER_MODULI)
     def test_sc_even_core_product(self, t, order):
         assert sc_even_core_product_series(t, order) == sc_even_core_product_by_factors(t, order)
+
+    # Where the quarter half's Euler products start: 4t just below, at and above the order.
+    @pytest.mark.parametrize(
+        "t, order", [(t, n) for n in range(9) for t in (1, 2, 3) if abs(4 * t - n) <= 1]
+    )
+    def test_sc_even_core_product_at_the_euler_edge(self, t, order):
+        got = sc_even_core_product_series(t, order)
+        assert got == sc_even_core_product_by_factors(t, order)
+        assert list(got.coeffs) == sc_even_core_product_dense(t, order)
 
     @pytest.mark.parametrize("order", FACTOR_ORDERS)
     def test_gauss_product(self, order):
@@ -234,7 +247,7 @@ class TestEulerProduct:
     def test_pentagonal_terms_expand_the_euler_product(self):
         by_factors = TruncatedSeries.one(self.ORDER)
         for n in range(1, self.ORDER + 1):
-            by_factors = by_factors.times_binomial(n, -1)
+            by_factors = binomial_pass(by_factors, n, -1)
         coeffs = [1] + [0] * self.ORDER
         for g, sign in _pentagonal(self.ORDER):
             coeffs[g] = sign
@@ -246,7 +259,7 @@ class TestEulerProduct:
         s = TruncatedSeries([rng.randint(-9, 9) for _ in range(self.ORDER + 1)])
         by_factors = s
         for n in range(1, self.ORDER // k + 1):
-            by_factors = by_factors.times_binomial(k * n, -1)
+            by_factors = binomial_pass(by_factors, k * n, -1)
         assert _times_euler(s, k) == by_factors
 
 

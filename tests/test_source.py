@@ -128,6 +128,33 @@ def test_verify_walks_the_self_conjugate_partitions_at_one_site():
     assert sorted(sites) == [("_walk", "partitions_of"), ("_walk", "self_conjugate_of")]
 
 
+def test_eq12_product_shares_no_route_with_cor15():
+    # cor1.5's right side is a core search times the triangular series, and
+    # gauss and eq1.1 check the other builders; eq1.2's product reads only
+    # p(n) and Euler products. No function it reaches in the package, call
+    # by call, may name one of those.
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    loads = {
+        fn.name: {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        }
+        for tree in trees
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+    }
+    reached, frontier = set(), ["sc_even_core_product_series"]
+    while frontier:
+        name = frontier.pop()
+        reached.add(name)
+        frontier += [n for n in loads[name] if n in loads and n not in reached]
+    assert {"_times_euler", "partition_count_table", "series_from_counts"} <= reached
+    names = set().union(*(loads[name] for name in reached))
+    shared = {"tabulate", "triangular_series", "gauss_product_series", "core_product_series"}
+    assert names.isdisjoint(shared)
+
+
 def _modules_loaded(code: str) -> set:
     src = str(Path(scpartitions.__file__).parent.parent)
     out = subprocess.run(

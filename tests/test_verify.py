@@ -348,6 +348,28 @@ def test_eq11_catches_a_flipped_pentagonal_sign(monkeypatch, flipped):
     assert (report.counterexample["t"], report.counterexample["exponent"]) == (2, 2 * flipped)
 
 
+def test_eq12_catches_a_dropped_even_euler_pass(monkeypatch):
+    # sc_even_core_product_series takes two Euler products in q^2 for its even
+    # half, (q^2; q^2)^2 / (q; q); with one of them dropped that half is
+    # prod 1 / (1 - q^(2n-1)), wrong from q^2 on, and eq1.2 at the defaults
+    # must fail there.
+    euler = verify.series._times_euler
+    even_passes = []
+
+    def every_second_even_pass_dropped(s, k):
+        if k == 2:
+            even_passes.append(k)
+            if len(even_passes) % 2 == 0:
+                return s
+        return euler(s, k)
+
+    monkeypatch.setattr(verify.series, "_times_euler", every_second_even_pass_dropped)
+    report = verify.run_check("eq1.2")
+    assert even_passes
+    assert not report.passed
+    assert (report.counterexample["t"], report.counterexample["exponent"]) == (1, 2)
+
+
 # The checks with a row in the walk over the self-conjugate partitions.
 PER_PARTITION = ("lem2.2", "prop2.3", "thm3.1", "prop4.2", "thm4.4", "prop4.4", "cor4.5")
 

@@ -13,8 +13,12 @@ Python versions, CPU counts and failed/attempted operations, and the
 change's medians over the parent's. Per workload and metric, "pairs"
 gives the parent's quartiles and, over the seeds run on both sides,
 how many the change's value is lower on: "lower_pairs": [9, 10] is 9
-of 10 pairs. A SHA may be given by a unique prefix. Standard library
-only; it reads records and runs nothing.
+of 10 pairs. Per side and workload, "ops" gives each operation's cost
+in reference units: the median over runs of the run's median over its
+passes of took / reference, read from the records' "passes" (a record
+without them is left out), so a change in pass_cost can be traced to
+the operations it sits in. A SHA may be given by a unique prefix.
+Standard library only; it reads records and runs nothing.
 """
 
 from __future__ import annotations
@@ -45,6 +49,19 @@ def resolve(prefix: str, shas) -> str:
     return found[0]
 
 
+def ops(records: list[dict]) -> dict:
+    """{operation: median over runs of the run's median took / reference over its passes}."""
+    per_run = defaultdict(list)
+    for record in records:
+        costs = defaultdict(list)
+        for one_pass in record.get("passes") or ():
+            for op, (took, reference) in one_pass.items():
+                costs[op].append(took / reference)
+        for op, values in costs.items():
+            per_run[op].append(median(values))
+    return {op: median(values) for op, values in sorted(per_run.items())}
+
+
 def summarise(records: list[dict]) -> dict:
     records = sorted(records, key=lambda r: r["seed"])
     names = records[0]["metrics"]
@@ -58,6 +75,7 @@ def summarise(records: list[dict]) -> dict:
         "attempted": sum(r["attempted"] for r in records),
         "median": {n: median(r["metrics"][n]["value"] for r in records) for n in names},
         "unit": {n: names[n]["unit"] for n in names},
+        "ops": ops(records),
     }
 
 
