@@ -153,7 +153,7 @@ ORDER_LIMIT = 2000
 # Largest --max-m of verify: the largest m with 32 + T(m) <= ORDER_LIMIT, T(m) = m(m + 1)/2.
 # prop3.4 tabulates self-conjugate counts to weight 4 * 8 + T(--max-m), and thm3.1's psi(m, ())
 # builds a staircase of weight T(m), so both grow as --max-m squared whatever --max-mu is
-# (prop3.4 --max-m 80 took 10.9 s, --max-m 62 2.4 s, on a 2-vCPU host).
+# (prop3.4 --max-m 80 took 10.9 s and --max-m 62 2.8 s on a 2-vCPU host).
 CLASS_LIMIT = (isqrt(8 * (ORDER_LIMIT - 32) + 1) - 1) // 2
 
 
@@ -264,9 +264,10 @@ def _cmd_verify(args) -> int:
     overrun = f"with --max-m {copies - 1} would round-trip more than {budget} partition-class pairs"
     _admit("--max-mu", bounds["max_mu_weight"], enumeration.partition_count_table,
            budget // copies, overrun)
-    if copies - 1 > CLASS_LIMIT:
-        raise UsageError(f"--max-m {copies - 1} would tabulate self-conjugate partitions to weight "
-                         f"{32 + copies * (copies - 1) // 2}, past {ORDER_LIMIT}; "
+    m = bounds["max_class"]
+    if m > CLASS_LIMIT:
+        raise UsageError(f"--max-m {m} would tabulate self-conjugate partitions to weight "
+                         f"{32 + m * (m + 1) // 2}, past {ORDER_LIMIT}; "
                          f"the largest --max-m admitted is {CLASS_LIMIT}")
     reports = verify.run_checks(ids, seed=args.seed, **bounds)
     for report in reports:
