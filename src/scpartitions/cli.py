@@ -39,8 +39,11 @@ def _emit(text: str, out: str | None) -> None:
     base = os.environ.get(OUT_DIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 def _emit_json(obj, out: str | None) -> None:

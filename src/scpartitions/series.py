@@ -8,17 +8,18 @@ leaves every kept coefficient exact. A sparse factor 1/(1 - q^k) is one
 O(N) pass over the coefficients. By Euler's pentagonal number theorem a
 whole product prod_n (1 - q^(kn)) has O(sqrt(N/k)) terms, one pass each,
 and prod_n 1/(1 - q^n) is the series of p(n): the t-core and
-self-conjugate even-core builders cost O(N^1.5), the Gauss builder, with
-its N/2 odd factors one pass each, O(N^2). A dense product (`*`) is one
-big-integer multiply by Kronecker substitution, O(N^1.58) in C
-(Karatsuba) for digits of a fixed width; packing the coefficients into
-digits and reading them back are O(N) passes at C speed.
+self-conjugate even-core builders cost O(N^1.5). So does the Gauss
+builder, whose odd factors are a sum of O(sqrt(N)) terms, one geometric
+pass each. A dense product (`*`) is one big-integer multiply by
+Kronecker substitution, O(N^1.58) in C (Karatsuba) for digits of a
+fixed width; packing the coefficients into digits and reading them back
+are O(N) passes at C speed.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import CountTable, _pentagonal, partition_count_table
@@ -119,11 +120,21 @@ class TruncatedSeries:
         return TruncatedSeries._from_coeffs(_unpack(product + biases, size, n, half))
 
     def times_geometric(self, period: int) -> "TruncatedSeries":
-        """Multiply by 1 + q^period + q^(2*period) + ... (divide by 1 - q^period)."""
+        """Multiply by 1 + q^period + q^(2*period) + ... (divide by 1 - q^period).
+
+        out[k] = c[k] + out[k - period]: each residue class mod period is a
+        running sum. A short period takes one accumulate per class; a long
+        one, one map per block of `period` terms. Either way it is one
+        O(order) pass in O(sqrt(order)) interpreter steps.
+        """
         if period < 1:
             raise ValueError(f"period must be >= 1, got {period}")
-        # out[k] = c[k] + out[k - period], one block of `period` terms at a time.
         c = self._coeffs
+        if period * period < len(c):
+            out = list(c)
+            for r in range(period):
+                out[r::period] = accumulate(c[r::period])
+            return TruncatedSeries._from_coeffs(out)
         out = list(c[:period])
         for start in range(period, len(c), period):
             out += map(operator.add, c[start : start + period], out[start - period : start])
@@ -252,13 +263,19 @@ def gauss_product_series(order: int) -> TruncatedSeries:
     """Product expansion of prod over n >= 1 of (1 - q^(2n)) / (1 - q^(2n-1)).
 
     Equals the triangular-exponent series to any order. The numerator is
-    one Euler product, O(sqrt(order)) passes; the order / 2 odd factors
-    take one pass each, O(order^2). By the quotient the even-core builder
-    uses, this product is (q^2; q^2)^2 / (q; q), that builder's even half;
-    it keeps its odd factors so that the gauss check does not rerun eq1.2's
-    passes, and they are the library's use of times_geometric.
+    one Euler product, O(sqrt(order)) passes. By Euler's odd/distinct
+    theorem the odd factors are prod over n >= 1 of (1 + q^n), and a
+    partition into k distinct parts less the staircase (k, ..., 1) is one
+    into parts <= k, so prod 1 / (1 - q^(2n-1)) is the sum over k >= 0 of
+    q^(k(k+1)/2) / ((1 - q) (1 - q^2) ... (1 - q^k)). Each term is the one
+    before shifted by k and passed through times_geometric(k): sqrt(2 order)
+    passes, O(order^1.5). It reads no p(n) table, so the gauss check
+    shares no route with eq1.2.
     """
-    out = _times_euler(TruncatedSeries.one(order), 2)
-    for odd in range(1, order + 1, 2):
-        out = out.times_geometric(odd)
-    return out
+    term = total = TruncatedSeries.one(order)
+    k = 1
+    while k * (k + 1) // 2 <= order:
+        term = TruncatedSeries._from_coeffs((0,) * k + term.coeffs[:-k]).times_geometric(k)
+        total += term
+        k += 1
+    return _times_euler(total, 2)

@@ -1,5 +1,7 @@
 import argparse
+import errno
 import json
+import os
 import time
 
 import pytest
@@ -476,6 +478,31 @@ class TestOutputHandling:
         code, _, _ = run(capsys, "map", "7,5,3".replace("7,5,3", "4,4,4,3"), "--out", str(target))
         assert code == 0
         assert json.loads(target.read_text())["m"] == 2
+
+    # A passing run that cannot write its output exits 2, never 1 ("verification failed").
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "4,4,4,3"],
+            ["inverse", "--m", "2", "--mu", "1"],
+            ["count", "--family", "p", "--max", "2"],
+            ["series", "--kind", "triangular", "--order", "4"],
+            ["verify", "lem2.2"],
+        ],
+    )
+    def test_out_naming_a_directory_exits_two(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f"error: cannot write --out {tmp_path}: {os.strerror(errno.EISDIR)}\n")
+
+    def test_out_under_a_file_exits_two(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        target = tmp_path / "file" / "sub" / "s.json"
+        code, out, err = run(capsys, "series", "--kind", "gauss_rhs", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write --out {target}: {os.strerror(errno.ENOTDIR)}\n"
 
     def test_csv_rejected_outside_count(self):
         with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ from oracles import (
     core_product_dense,
     dense_product,
     gauss_product_by_factors,
+    geometric_factor,
     gauss_product_dense,
     sc_even_core_product_by_factors,
     sc_even_core_product_dense,
@@ -128,6 +129,17 @@ def test_geometric_undoes_one_minus(coeffs, k):
     assert binomial_pass(s, k, -1).times_geometric(k) == s
 
 
+# Periods with period^2 below order + 1 = 101 take the residue-class branch,
+# 1..10; 11..100 the block branch, and 101, 102 leave the series as it is.
+@pytest.mark.parametrize("k", range(1, 103))
+def test_geometric_by_residue_or_by_block(k):
+    rng = random.Random(1900 + k)
+    coeffs = [rng.randint(-(2**70), 2**70) for _ in range(101)]
+    got = TruncatedSeries(coeffs).times_geometric(k)
+    assert binomial_pass(got, k, -1).coeffs == tuple(coeffs)
+    assert list(got.coeffs) == dense_product(coeffs, geometric_factor(k, 100), 100)
+
+
 # Small, zero and 200-bit coefficients: the digit width follows the data.
 COEFFICIENTS = st.one_of(
     st.integers(-9, 9),
@@ -236,7 +248,7 @@ class TestBuildersMatchFactorByFactor:
         assert got == sc_even_core_product_by_factors(t, order)
         assert list(got.coeffs) == sc_even_core_product_dense(t, order)
 
-    @pytest.mark.parametrize("order", FACTOR_ORDERS)
+    @pytest.mark.parametrize("order", FACTOR_ORDERS + (ORDER_LIMIT,))
     def test_gauss_product(self, order):
         assert gauss_product_series(order) == gauss_product_by_factors(order)
 

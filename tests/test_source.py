@@ -128,11 +128,9 @@ def test_verify_walks_the_self_conjugate_partitions_at_one_site():
     assert sorted(sites) == [("_walk", "partitions_of"), ("_walk", "self_conjugate_of")]
 
 
-def test_eq12_product_shares_no_route_with_cor15():
-    # cor1.5's right side is a core search times the triangular series, and
-    # gauss and eq1.1 check the other builders; eq1.2's product reads only
-    # p(n) and Euler products. No function it reaches in the package, call
-    # by call, may name one of those.
+def _reach(root: str):
+    # The package's module-level functions reached from root, call by call,
+    # and every name that one of them loads.
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
     loads = {
         fn.name: {
@@ -144,14 +142,37 @@ def test_eq12_product_shares_no_route_with_cor15():
         for fn in tree.body
         if isinstance(fn, ast.FunctionDef)
     }
-    reached, frontier = set(), ["sc_even_core_product_series"]
+    reached, frontier = set(), [root]
     while frontier:
         name = frontier.pop()
         reached.add(name)
         frontier += [n for n in loads[name] if n in loads and n not in reached]
+    return reached, set().union(*(loads[name] for name in reached))
+
+
+def test_eq12_product_shares_no_route_with_cor15():
+    # cor1.5's right side is a core search times the triangular series, and
+    # gauss and eq1.1 check the other builders; eq1.2's product reads only
+    # p(n) and Euler products. No function it reaches in the package, call
+    # by call, may name one of those.
+    reached, names = _reach("sc_even_core_product_series")
     assert {"_times_euler", "partition_count_table", "series_from_counts"} <= reached
-    names = set().union(*(loads[name] for name in reached))
     shared = {"tabulate", "triangular_series", "gauss_product_series", "core_product_series"}
+    assert names.isdisjoint(shared)
+
+
+def test_gauss_product_shares_no_route_with_eq12():
+    # gauss's product side is geometric passes and one Euler product: it
+    # reads no p(n) table, no other builder, no core search and not the
+    # triangular series it is compared with. Its passes are the library's
+    # use of times_geometric, which the traced benchmark counts.
+    reached, names = _reach("gauss_product_series")
+    assert "_times_euler" in reached
+    assert "times_geometric" in names
+    shared = {
+        "partition_count_table", "sc_even_core_product_series", "core_product_series",
+        "triangular_series", "tabulate",
+    }
     assert names.isdisjoint(shared)
 
 

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -368,6 +369,48 @@ def test_eq12_catches_a_dropped_even_euler_pass(monkeypatch):
     assert even_passes
     assert not report.passed
     assert (report.counterexample["t"], report.counterexample["exponent"]) == (1, 2)
+
+
+def test_gauss_catches_a_geometric_pass_that_skips_a_residue_class(monkeypatch):
+    # times_geometric takes a short period one residue class at a time; with
+    # the last class left out, the builder's first term q / (1 - q) stays q
+    # and gauss at the defaults must fail at q^2.
+    geometric = TruncatedSeries.times_geometric
+    short = []
+
+    def last_class_skipped(self, period):
+        c = self.coeffs
+        if period * period >= len(c):
+            return geometric(self, period)
+        short.append(period)
+        out = list(c)
+        for r in range(period - 1):
+            out[r::period] = accumulate(c[r::period])
+        return TruncatedSeries._from_coeffs(out)
+
+    monkeypatch.setattr(TruncatedSeries, "times_geometric", last_class_skipped)
+    report = verify.run_check("gauss")
+    assert short
+    assert not report.passed
+    assert report.counterexample["exponent"] == 2
+
+
+def test_gauss_catches_a_dropped_last_term(monkeypatch):
+    # At order 40 the builder sums the terms k = 1..8 of its distinct-part
+    # series; the last starts at q^T(8) = q^36, so with it dropped gauss at
+    # the defaults must fail there.
+    add = TruncatedSeries.__add__
+    terms = []
+
+    def last_term_dropped(self, other):
+        terms.append(other)
+        return self if len(terms) == 8 else add(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__add__", last_term_dropped)
+    report = verify.run_check("gauss")
+    assert len(terms) == 8
+    assert not report.passed
+    assert report.counterexample["exponent"] == 36
 
 
 # The checks with a row in the walk over the self-conjugate partitions.
