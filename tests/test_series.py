@@ -10,8 +10,8 @@ from oracles import (
     core_product_dense,
     dense_product,
     gauss_product_by_factors,
-    geometric_factor,
     gauss_product_dense,
+    geometric_factor,
     sc_even_core_product_by_factors,
     sc_even_core_product_dense,
 )
