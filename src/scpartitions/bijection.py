@@ -17,10 +17,8 @@ from typing import NamedTuple
 from .partitions import Partition, _sc_from_hooks, sc_from_diagonal
 
 __all__ = [
-    "DiagonalSequencePair",
     "PhiImage",
     "classify",
-    "diagonal_sequence_pair",
     "phi",
     "psi",
     "half_even_beta",
@@ -28,13 +26,6 @@ __all__ = [
     "delete_principal_hook",
     "corresponding_partition_after_deletion",
 ]
-
-
-class DiagonalSequencePair(NamedTuple):
-    """Diagonal hooks rewritten as 4a+1 (sequence a) and 4b-1 (sequence b)."""
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
 
 
 class PhiImage(NamedTuple):
@@ -50,29 +41,24 @@ def _class_index(surplus: int) -> int:
 
 def classify(sc: Partition) -> int:
     """Class index m of a self-conjugate partition (empty partition: 0)."""
-    a, b = diagonal_sequence_pair(sc)
-    return _class_index(len(a) - len(b))
-
-
-def diagonal_sequence_pair(sc: Partition) -> DiagonalSequencePair:
-    """Strictly decreasing sequences a (a_i >= 0) and b (b_j >= 1) with
-    diagonal hooks {4a_i + 1} and {4b_j - 1}."""
     hooks = sc.diagonal_hooks()
-    return DiagonalSequencePair(
-        tuple([x >> 2 for x in hooks if x & 3 == 1]),
-        tuple([(x >> 2) + 1 for x in hooks if x & 3 == 3]),
-    )
+    # The hooks are odd, so bit 1 is set exactly on those that are 3 mod 4.
+    d3 = sum(map((2).__and__, hooks)) >> 1
+    return _class_index(len(hooks) - 2 * d3)
 
 
 def phi(sc: Partition) -> PhiImage:
     """Map a self-conjugate partition to (m, mu).
 
-    With diagonal sequence pair ((a_1..a_r), (b_1..b_s)), the image mu has
+    Split the diagonal hooks by residue mod 4 into 4a_i + 1 (a_1 > ... >
+    a_r >= 0) and 4b_j - 1 (b_1 > ... > b_s >= 1). The image mu has
     mu_i = a_i + i + s - r for i <= r, followed by the conjugate of
     (b_1 - s, b_2 - s + 1, ..., b_s - 1), whose zero entries contribute
     nothing. The weights satisfy |sc| = 4|mu| + m(m+1)/2.
     """
-    a, b = diagonal_sequence_pair(sc)
+    hooks = sc.diagonal_hooks()
+    a = [x >> 2 for x in hooks if x & 3 == 1]
+    b = [(x >> 2) + 1 for x in hooks if x & 3 == 3]
     r, s = len(a), len(b)
     parts = list(map(operator.add, a, range(1 + s - r, 1 + s)))
     if b:
@@ -124,7 +110,7 @@ def half_even_beta(sc: Partition) -> tuple[int, ...]:
         raise ValueError(f"partition ({sc}) is not self-conjugate")
     if not sc:
         raise ValueError("empty partition has no first-column hooks")
-    return tuple(x // 2 for x in sc.beta_set() if x % 2 == 0)
+    return tuple([x // 2 for x in sc.beta_set() if x % 2 == 0])
 
 
 def complement_beta(mu: Partition) -> frozenset:
@@ -157,4 +143,4 @@ def corresponding_partition_after_deletion(mu: Partition, delta1_class: int) -> 
         raise ValueError(f"delta1_class must be 1 or 3, got {delta1_class}")
     if delta1_class == 1:
         return Partition(mu.parts[1:])
-    return Partition(x - 1 for x in mu.parts if x > 1)
+    return Partition([x - 1 for x in mu.parts if x > 1])

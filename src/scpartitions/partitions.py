@@ -216,7 +216,11 @@ class Partition:
         """
         moduli = check_moduli(ts)
         beads = self._bead_bits()
-        return not any(beads >> t & ~beads for t in moduli)
+        gaps = ~beads
+        for t in moduli:
+            if beads >> t & gaps:
+                return False
+        return True
 
 
 def parse_partition(text: str) -> Partition:

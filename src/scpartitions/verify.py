@@ -176,7 +176,7 @@ def _thm44(sc, image, b):
             "even_hooks_at_2k": evens.get(k, 0),
             "twice_mu_hooks_at_k": doubled.get(k, 0),
         }
-    odd_count = sum(c for h, c in sc_hooks.items() if h % 2)
+    odd_count = sum(sc_hooks.values()) - sum(evens.values())
     if odd_count != sc.weight - 2 * mu.weight:
         return 1, {
             "partition": str(sc),

@@ -4,9 +4,10 @@ These deliberately avoid the library's own formulas: conjugation goes
 through an explicit cell set, hooks are counted by walking boxes, the
 core test looks beads up in a set, distinct odd decompositions come from
 a recursive walk, partitions from a stack walk, and the classical
-sequences come from their recurrences. ``phi_by_definition`` and
-``psi_by_definition`` keep the library's earlier maps, written index by
-index from the paper's formulas. The core-count oracles take every
+sequences come from their recurrences. ``diagonal_sequence_pair`` splits
+the diagonal hooks by residue mod 4, as the paper defines the pair, and
+``phi_by_definition`` and ``psi_by_definition`` keep the library's
+earlier maps, written index by index from the paper's formulas. The core-count oracles take every
 partition (or self-conjugate partition) of each weight from the
 library's generators and test it with its core predicate, so they share
 nothing with the library's search over cores. The ``*_by_factors``
@@ -127,7 +128,9 @@ def _class_index(surplus):
     return 2 * surplus - 1 if surplus >= 1 else -2 * surplus
 
 
-def _diagonal_sequence_pair(sc):
+def diagonal_sequence_pair(sc):
+    """Strictly decreasing sequences a (a_i >= 0) and b (b_j >= 1) with
+    diagonal hooks {4a_i + 1} and {4b_j - 1}, split by residue mod 4."""
     hooks = sc.diagonal_hooks()
     return (
         tuple((x - 1) // 4 for x in hooks if x % 4 == 1),
@@ -138,7 +141,7 @@ def _diagonal_sequence_pair(sc):
 def phi_by_definition(sc):
     """(m, mu) with mu_i = a_i + i + s - r for i <= r, then the conjugate of
     (b_1 - s, b_2 - s + 1, ..., b_s - 1), each entry computed by index."""
-    a, b = _diagonal_sequence_pair(sc)
+    a, b = diagonal_sequence_pair(sc)
     r, s = len(a), len(b)
     m = _class_index(r - s)
     head = [a[i] + (i + 1) + s - r for i in range(r)]

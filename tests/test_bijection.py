@@ -6,7 +6,6 @@ from scpartitions import (
     complement_beta,
     corresponding_partition_after_deletion,
     delete_principal_hook,
-    diagonal_sequence_pair,
     half_even_beta,
     partitions_of,
     phi,
@@ -15,7 +14,7 @@ from scpartitions import (
     self_conjugate_of,
 )
 
-from oracles import hook_table, phi_by_definition, psi_by_definition
+from oracles import diagonal_sequence_pair, hook_table, phi_by_definition, psi_by_definition
 
 LAM = sc_from_diagonal([21, 15, 13, 9, 3, 1])    # class 3, weight 62
 LAM_T = sc_from_diagonal([31, 19, 11, 5])        # class 4, weight 66
@@ -46,8 +45,17 @@ class TestClassify:
             m = classify(sc)
             assert diff == (-1) ** (m + 1) * ((m + 1) // 2)
 
+    def test_matches_oracle_split_up_to_60(self):
+        # classify counts the hooks 3 mod 4 by bit 1; the oracle splits them by residue.
+        for sc in all_sc(60):
+            a, b = diagonal_sequence_pair(sc)
+            d = len(a) - len(b)
+            assert classify(sc) == (2 * d - 1 if d >= 1 else -2 * d), sc
+
 
 class TestDiagonalSequencePair:
+    # The pair is the paper's definition; phi splits the hooks the same way
+    # itself, and TestPhi checks it against phi_by_definition, which reads the pair.
     def test_examples(self):
         assert diagonal_sequence_pair(Partition([4, 4, 4, 3])) == ((1,), (2, 1))
         assert diagonal_sequence_pair(LAM) == ((5, 3, 2, 0), (4, 1))

@@ -354,6 +354,21 @@ class TestCores:
         with pytest.raises(ValueError, match="got -3"):
             Partition([2]).is_simultaneous_core(iter([2, -3]))
 
+    def test_one_shot_iterator_is_read_once(self):
+        # check_moduli consumes the iterator; the test must read its tuple.
+        assert not Partition([2]).is_simultaneous_core(iter([3, 2]))
+        assert not Partition([4, 4, 4, 3]).is_simultaneous_core(iter([9, 7]))
+        assert Partition([2]).is_simultaneous_core(iter([3]))
+
+    def test_modulus_above_largest_bead(self):
+        # Beads of (4,4,4,3) are 7, 6, 5, 3: a shift past 7 leaves nothing,
+        # and a passing modulus must not end the test before a failing one.
+        p = Partition([4, 4, 4, 3])
+        assert p.is_simultaneous_core((8,))
+        assert p.is_simultaneous_core((100, 9))
+        assert not p.is_simultaneous_core((100, 7))
+        assert not p.is_simultaneous_core((8, 100, 2))
+
     def test_check_moduli(self):
         assert check_moduli(iter([3, 4, 3])) == (3, 4, 3)
         for ts, message in [

@@ -128,6 +128,43 @@ def test_verify_walks_the_self_conjugate_partitions_at_one_site():
     assert sorted(sites) == [("_walk", "partitions_of"), ("_walk", "self_conjugate_of")]
 
 
+# The per-partition primitives the self-conjugate walk calls for every
+# partition: a generator expression there costs a frame per call.
+NO_GENERATOR_EXPRESSION = {
+    "partitions.py": {
+        "Partition.is_simultaneous_core", "Partition.hook_multiset", "Partition.beta_set",
+        "Partition.disparity", "Partition.diagonal_hooks", "_sc_from_hooks",
+    },
+    "bijection.py": {
+        "phi", "psi", "classify", "half_even_beta", "complement_beta",
+        "delete_principal_hook", "corresponding_partition_after_deletion",
+    },
+}
+
+
+def test_per_partition_primitives_have_no_generator_expression():
+    found = set()
+    for filename, names in NO_GENERATOR_EXPRESSION.items():
+        path = Path(scpartitions.__file__).parent / filename
+        defs = {}
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                defs[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                defs.update(
+                    (f"{node.name}.{fn.name}", fn)
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)
+                )
+        assert names <= set(defs), names - set(defs)
+        found |= {
+            f"{filename}:{name}"
+            for name in names
+            if any(isinstance(node, ast.GeneratorExp) for node in ast.walk(defs[name]))
+        }
+    assert found == set()
+
+
 def _reach(root: str):
     # The package's module-level functions reached from root, call by call,
     # and every name that one of them loads.
