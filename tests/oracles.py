@@ -7,10 +7,10 @@ a recursive walk, partitions from a stack walk, and the classical
 sequences come from their recurrences. ``diagonal_sequence_pair`` splits
 the diagonal hooks by residue mod 4, as the paper defines the pair, and
 ``phi_by_definition`` and ``psi_by_definition`` keep the library's
-earlier maps, written index by index from the paper's formulas. The core-count oracles take every
-partition (or self-conjugate partition) of each weight from the
-library's generators and test it with its core predicate, so they share
-nothing with the library's search over cores. The ``*_by_factors``
+earlier maps, written index by index from the paper's formulas. The
+core-count oracles take every partition (or self-conjugate partition) of
+each weight from the library's generators and test it with its core
+predicate, so they share nothing with the library's search over cores. The ``*_by_factors``
 builders keep the library's earlier product builders, one sparse pass
 per factor: they reach orders the dense expansions cannot, and share no
 pentagonal numbers and no p(n) with the builders they check.
