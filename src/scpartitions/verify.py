@@ -6,13 +6,16 @@ replayed through the library directly. All comparisons are exact.
 
 Eight checks are laws about one partition: rows (_Law) of two walks
 (_walk), one over the self-conjugate partitions and their images under
-phi, one over all partitions. thm3.1 has a row in each.
+phi, one over all partitions. thm3.1 has a row in each. A walk runs
+law-major over chunks of each weight's partitions, so each row reports
+its own law time.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from itertools import islice, repeat
 from typing import Callable, NamedTuple
 
 from . import bijection, enumeration, series
@@ -513,59 +516,54 @@ def _report(theorem: str, params: dict, cases: int, counterexample, seconds: flo
     return VerificationReport(theorem, passed, params, cases, counterexample, seconds * 1000.0)
 
 
+# Partitions drawn from one weight at a time; each live row runs over the
+# whole chunk before the next is drawn, so the walk holds at most this many.
+_CHUNK = 64
+
+
 def _walk(checks: dict, b: SweepBounds) -> dict:
     """Run the walked checks {theorem: rows}; returns {theorem: report}.
 
     The walk over the self-conjugate partitions runs first, then the walk
     over all partitions, each up the weights its rows are live at. A
     check's row in the second walk runs only if its first row passed.
-    Each partition is built once and mapped by phi at most once, and only
-    while a live row reads the image. A row retires at its first
-    counterexample, and no partition is built once every row has. A row's
-    time is its walk's until it retired or the walk ended; no clock is
-    read per partition. A report sums its rows' cases and times and takes
+    Each weight's partitions are drawn lazily, _CHUNK at a time; a chunk
+    is mapped by phi once, and only while a live row reads the image, and
+    then each live row runs its law over the whole chunk, so every row
+    sees the partitions in the walk's order. A row retires at its first
+    counterexample, and no chunk is drawn once every row has. A row's time
+    is its own law time, read twice per chunk; enumeration and phi are
+    in no row's time. A report sums its rows' cases and times and takes
     the first row's params.
     """
     cases, found, spent = dict.fromkeys(checks, 0), {}, dict.fromkeys(checks, 0.0)
     clock = time.perf_counter
-
-    def live_at(n):
-        # The current walk's rows live at weight n, whether one reads the
-        # image, and how many rows have retired.
-        live = [(t, row.law, per_case) for t, (row, weights, per_case) in rows.items()
-                if t not in found and n in weights]
-        return live, any(rows[t][0].reads_image for t, _, _ in live), len(found)
-
     walks = (
         ("sc", enumeration.self_conjugate_of, bijection.phi),
         ("p", enumeration.partitions_of, None),
     )
     for over, partitions, phi in walks:
         # A check that failed in the first walk has no live row in the second.
-        rows = {t: (row, row.weights(b), row.cases(b))
+        rows = [(t, row, row.weights(b), row.cases(b))
                 for t, check in checks.items() if t not in found
-                for row in check if row.over == over}
-        start = clock()
-        for n in sorted(set().union(*(weights for _, weights, _ in rows.values()))):
-            live, reads_image, retired = live_at(n)
-            for x in partitions(n) if live else ():
-                image = phi(x) if reads_image else None
-                for t, law, per_case in live:
-                    failed = law(x, image, b)
-                    if failed is None:
-                        cases[t] += per_case
+                for row in check if row.over == over]
+        for n in sorted(set().union(*(weights for _, _, weights, _ in rows))):
+            live = [r for r in rows if r[0] not in found and n in r[2]]
+            stream = partitions(n) if live else ()
+            while live and (chunk := list(islice(stream, _CHUNK))):
+                reads_image = any(row.reads_image for _, row, _, _ in live)
+                images = list(map(phi, chunk)) if reads_image else repeat(None)
+                for t, row, _, per_case in live:
+                    start = clock()
+                    for i, failed in enumerate(map(row.law, chunk, images, repeat(b))):
+                        if failed is not None:
+                            ran, found[t] = failed
+                            cases[t] += i * per_case + ran
+                            break
                     else:
-                        ran, found[t] = failed
-                        cases[t] += ran
-                        spent[t] += clock() - start
-                if len(found) != retired:
-                    # The rest of the weight goes on without the retired rows.
-                    live, reads_image, retired = live_at(n)
-                    if not live:
-                        break
-        end = clock()
-        for t in rows.keys() - found.keys():
-            spent[t] += end - start
+                        cases[t] += len(chunk) * per_case
+                    spent[t] += clock() - start
+                live = [r for r in live if r[0] not in found]
     return {t: _report(t, check[0].params(b), cases[t], found.get(t), spent[t])
             for t, check in checks.items()}
 

@@ -2,6 +2,7 @@ import argparse
 import errno
 import json
 import os
+import re
 import time
 
 import pytest
@@ -451,6 +452,17 @@ class TestVerify:
         reports = json.loads(out)
         assert [r["theorem"] for r in reports] == verify.all_ids()
         assert all(r["passed"] for r in reports)
+
+    def test_all_row_times_add_up_to_at_most_the_wall_time(self, capsys):
+        # Each summary line gives its check's own time, so the walked checks
+        # no longer each print the shared walk's; the lines print at 0.1 ms.
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", "--all", "--max-weight", "30")
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        assert code == 0
+        times = [float(ms) for ms in re.findall(r" cases, ([0-9.]+) ms\)", err)]
+        assert len(times) == len(verify.all_ids())
+        assert sum(times) <= wall_ms + 0.05 * len(times)
 
 
 class TestOutputHandling:

@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 from itertools import accumulate
 from types import SimpleNamespace
@@ -415,6 +416,8 @@ def test_gauss_catches_a_dropped_last_term(monkeypatch):
 
 # The checks with a row in the walk over the self-conjugate partitions.
 PER_PARTITION = ("lem2.2", "prop2.3", "thm3.1", "prop4.2", "thm4.4", "prop4.4", "cor4.5")
+# The checks with a row in the walk over all partitions.
+MU_WALK = ("thm3.1", "lem4.1")
 
 
 def _untimed(report):
@@ -487,10 +490,14 @@ def test_walk_maps_each_partition_once_and_only_for_rows_that_read_the_image(mon
 
 
 def test_a_lone_row_is_timed():
-    # The walk reads no clock per partition; a lone row still takes the
-    # whole walk's time.
+    # A row's time is its own law time, read twice per chunk; a lone row
+    # is still timed, without the walk's enumeration or phi.
     report = verify.run_check("lem2.2", max_weight=20)
     assert report.elapsed_ms > 0
+
+
+def _chunks(counts) -> int:
+    return sum(-(-count // verify._CHUNK) for count in counts)
 
 
 def test_walk_reads_the_clock_per_row_not_per_partition(monkeypatch):
@@ -501,20 +508,100 @@ def test_walk_reads_the_clock_per_row_not_per_partition(monkeypatch):
         return float(len(reads))
 
     monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=perf_counter))
-    reports = verify.run_checks(PER_PARTITION, max_weight=20)
-    assert reports[0].cases == sum(verify.enumeration.sc_count_table(20).rows) == 56
-    # At each walk's start and end (thm3.1's mu side is a second walk), and
-    # per row once as it retires.
-    assert len(reads) <= 2 + 2 * len(PER_PARTITION)
+    reports = verify.run_checks(PER_PARTITION, max_weight=60)
+    walked = sum(verify.enumeration.sc_count_table(60).rows)
+    assert reports[0].cases == walked == 2743
+    # Twice per (chunk, live row): seven rows over the self-conjugate chunks,
+    # and thm3.1's mu side over the chunks of weights 0..12; none at the
+    # walks' ends and none per partition.
+    sc_chunks = _chunks(verify.enumeration.sc_count_table(60).rows)
+    mu_chunks = _chunks(verify.enumeration.partition_count_table(12).rows)
+    assert len(reads) <= 2 * (len(PER_PARTITION) * sc_chunks + mu_chunks)
+    assert len(reads) < walked
 
 
-def test_a_row_that_outlives_another_reports_at_least_its_time(monkeypatch):
-    # thm4.4's defect retires it at weight 6; lem2.2 walks on to weight 12.
-    owner, name, defect = next(row[1] + (row[2],) for row in DEFECT_TABLE if row[0] == "thm4.4")
+def test_walked_rows_times_add_up_to_at_most_the_wall_time():
+    # Each row reports its own law time, so rows walked together no longer
+    # each report the shared walk.
+    start = time.perf_counter()
+    reports = verify.run_checks(PER_PARTITION + ("lem4.1",), max_weight=40)
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    assert all(r.passed and r.elapsed_ms > 0 for r in reports)
+    assert sum(r.elapsed_ms for r in reports) <= wall_ms
+
+
+@pytest.mark.parametrize(
+    "theorem, target, defect, bounds, cases, counterexample",
+    [row for row in DEFECT_TABLE if row[0] in PER_PARTITION + MU_WALK],
+)
+def test_chunk_boundaries_change_no_report(
+    monkeypatch, theorem, target, defect, bounds, cases, counterexample
+):
+    owner, name = target
     monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
-    thm44, lem22 = verify.run_checks(["thm4.4", "lem2.2"], max_weight=12)
-    assert not thm44.passed and lem22.passed
-    assert lem22.elapsed_ms >= thm44.elapsed_ms > 0
+    walked = PER_PARTITION + ("lem4.1",)
+    seen = []
+    for chunk in (1, 2, 5, verify._CHUNK):
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        shared = [_untimed(r) for r in verify.run_checks(walked, **bounds)]
+        assert shared == [_untimed(verify.run_check(t, **bounds)) for t in walked]
+        seen.append(shared)
+    assert all(reports == seen[0] for reports in seen)
+    failing = seen[0][walked.index(theorem)]
+    assert (failing["cases"], failing["counterexample"]) == (cases, counterexample)
+
+
+def test_a_row_that_fails_mid_chunk_leaves_the_others_live(monkeypatch):
+    # prop2.3 fails on the third of the 18 self-conjugate partitions of
+    # weight 30, inside a chunk at sizes 5 and the default; lem2.2 walks on
+    # through the rest of that chunk and to weight 40.
+    target = list(verify.enumeration.self_conjugate_of(30))[2]
+    disparity = Partition.disparity
+    monkeypatch.setattr(
+        Partition, "disparity", lambda p: disparity(p) + (p.parts == target.parts)
+    )
+    counts = verify.enumeration.sc_count_table(40).rows
+    for chunk in (1, 2, 5, verify._CHUNK):
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        prop23, lem22 = verify.run_checks(["prop2.3", "lem2.2"], max_weight=40)
+        assert prop23.cases == sum(counts[:30]) + 3
+        assert prop23.counterexample["partition"] == str(target)
+        assert lem22.passed and lem22.cases == sum(counts)
+        assert _untimed(prop23) == _untimed(verify.run_check("prop2.3", max_weight=40))
+
+
+@pytest.mark.parametrize(
+    "generator, owner, name, theorems, max_weight",
+    [
+        ("self_conjugate_of", Partition, "disparity", ["lem2.2", "prop2.3", "cor4.5"], 70),
+        ("partitions_of", verify.bijection, "complement_beta", ["lem4.1"], 25),
+    ],
+)
+@pytest.mark.parametrize("chunk", [1, 3, None])
+def test_walk_holds_at_most_one_chunk(
+    monkeypatch, generator, owner, name, theorems, max_weight, chunk
+):
+    # Each watched law call sees how many partitions the walk has drawn
+    # and not yet passed to that law: never more than one chunk, and a
+    # whole one once a weight has that many. sc(70) = 408 and p(25) = 1958.
+    chunk = chunk or verify._CHUNK
+    monkeypatch.setattr(verify, "_CHUNK", chunk)
+    drawn, held = [0], []
+    stream, law = getattr(verify.enumeration, generator), getattr(owner, name)
+
+    def counted(n):
+        for x in stream(n):
+            drawn[0] += 1
+            yield x
+
+    def watched(x):
+        held.append(drawn[0] - len(held))
+        return law(x)
+
+    monkeypatch.setattr(verify.enumeration, generator, counted)
+    monkeypatch.setattr(owner, name, watched)
+    assert all(r.passed for r in verify.run_checks(theorems, max_weight=max_weight))
+    assert held and max(held) == chunk
 
 
 def test_walk_stops_once_every_row_has_retired(monkeypatch):
@@ -528,10 +615,6 @@ def test_walk_stops_once_every_row_has_retired(monkeypatch):
     reports = verify.run_checks(["prop2.3", "lem2.2"], max_weight=157)
     assert [r.cases for r in reports] == [10, 8]
     assert weights == [(n,) for n in range(10)]
-
-
-# The checks with a row in the walk over all partitions.
-MU_WALK = ("thm3.1", "lem4.1")
 
 
 @pytest.mark.parametrize(
