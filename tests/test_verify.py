@@ -509,15 +509,14 @@ def test_walk_reads_the_clock_per_row_not_per_partition(monkeypatch):
 
     monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=perf_counter))
     reports = verify.run_checks(PER_PARTITION, max_weight=60)
-    walked = sum(verify.enumeration.sc_count_table(60).rows)
-    assert reports[0].cases == walked == 2743
+    counts = verify.enumeration.sc_count_table(60).rows
+    assert reports[0].cases == sum(counts) == 2743
     # Twice per (chunk, live row): seven rows over the self-conjugate chunks,
     # and thm3.1's mu side over the chunks of weights 0..12; none at the
     # walks' ends and none per partition.
-    sc_chunks = _chunks(verify.enumeration.sc_count_table(60).rows)
     mu_chunks = _chunks(verify.enumeration.partition_count_table(12).rows)
-    assert len(reads) <= 2 * (len(PER_PARTITION) * sc_chunks + mu_chunks)
-    assert len(reads) < walked
+    assert len(reads) <= 2 * (len(PER_PARTITION) * _chunks(counts) + mu_chunks)
+    assert len(reads) < sum(counts)
 
 
 def test_walked_rows_times_add_up_to_at_most_the_wall_time():
@@ -577,14 +576,13 @@ def test_a_row_that_fails_mid_chunk_leaves_the_others_live(monkeypatch):
         ("partitions_of", verify.bijection, "complement_beta", ["lem4.1"], 25),
     ],
 )
-@pytest.mark.parametrize("chunk", [1, 3, None])
+@pytest.mark.parametrize("chunk", [1, 3, verify._CHUNK])
 def test_walk_holds_at_most_one_chunk(
     monkeypatch, generator, owner, name, theorems, max_weight, chunk
 ):
     # Each watched law call sees how many partitions the walk has drawn
     # and not yet passed to that law: never more than one chunk, and a
     # whole one once a weight has that many. sc(70) = 408 and p(25) = 1958.
-    chunk = chunk or verify._CHUNK
     monkeypatch.setattr(verify, "_CHUNK", chunk)
     drawn, held = [0], []
     stream, law = getattr(verify.enumeration, generator), getattr(owner, name)
