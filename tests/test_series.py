@@ -34,6 +34,7 @@ from scpartitions import (
 )
 from scpartitions.cli import ORDER_LIMIT
 from scpartitions.enumeration import _pentagonal
+from scpartitions import series
 from scpartitions.series import _times_euler
 
 
@@ -186,7 +187,7 @@ class TestKroneckerProduct:
             alternating = TruncatedSeries([(-1) ** k for k in range(10)])
             assert (plus * alternating).coeffs == (c,) + (0,) * 9
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_byte_boundaries(self, k):
         edge = 2 ** (8 * k - 1)
         values = [edge, -edge, edge - 1, 1 - edge, edge + 1, -edge - 1, 0, 1]
@@ -194,6 +195,52 @@ class TestKroneckerProduct:
             for b in (values, [1] + [0] * 7, [-1, 1] + [0] * 6):
                 got = TruncatedSeries(a) * TruncatedSeries(b)
                 assert list(got.coeffs) == dense_product(a, b, 7), (a, b)
+        # Product bounds top_a * top_b * (order + 1) of exactly edge - 1 (the
+        # last k-byte width) and edge (one byte more; past 8 bytes, the wide
+        # route): constant operands put the bound itself, with either sign,
+        # in the last coefficient.
+        for bound in (edge - 1, edge):
+            n = max(d for d in range(1, 65) if bound % d == 0)
+            for sign_a, sign_b in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                a, b = [sign_a * (bound // n)] * n, [sign_b] * n
+                for x, y in ((a, b), (b, a)):
+                    got = TruncatedSeries(x) * TruncatedSeries(y)
+                    assert got.coeffs[-1] == sign_a * sign_b * bound
+                    assert list(got.coeffs) == dense_product(x, y, n - 1), (bound, x[0], y[0])
+
+    def test_word_digits_skip_the_per_coefficient_packer(self, monkeypatch):
+        # Digits of at most 8 bytes are packed and read back by struct alone.
+        def refuse(*args):
+            raise AssertionError("per-coefficient packer reached")
+
+        monkeypatch.setattr(series, "_pack", refuse)
+        monkeypatch.setattr(series, "_unpack", refuse)
+        rng = random.Random(400)
+        a = [rng.randint(-9, 9) for _ in range(401)]
+        b = [rng.randint(-9, 9) for _ in range(401)]
+        assert list((TruncatedSeries(a) * TruncatedSeries(b)).coeffs) == dense_product(a, b, 400)
+        assert sc_even_core_product_series(2, 400) == sc_even_core_product_by_factors(2, 400)
+        for k in range(1, 9):  # a largest k-byte digit, for every width up to 8
+            top = 2 ** (8 * k - 1) - 1
+            assert (TruncatedSeries([top]) * TruncatedSeries([-1])).coeffs == (-top,)
+
+    def test_wide_digits_take_the_per_coefficient_packer(self, monkeypatch):
+        calls = {"_pack": 0, "_unpack": 0}
+
+        def counted(name):
+            original = getattr(series, name)
+
+            def count(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(series, name, counted(name))
+        a, b = [2**100, -3, 5], [7, -(2**99), 1]
+        assert list((TruncatedSeries(a) * TruncatedSeries(b)).coeffs) == dense_product(a, b, 2)
+        assert calls == {"_pack": 2, "_unpack": 1}
 
     def test_order_2000(self):
         rng = random.Random(2000)
