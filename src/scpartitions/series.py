@@ -126,6 +126,7 @@ class TruncatedSeries:
             half = 1 << (8 * size - 1)
             product = (_pack(a, size, half) - biases) * (_pack(b, size, half) - biases)
             return TruncatedSeries._from_coeffs(_unpack(product + biases, size, n, half))
+        # The smallest struct word of at least size bytes: 1, 2, 4 or 8.
         fmt, word = f"<{n}{'bhiiqqqq'[size - 1]}", 1 << (size - 1).bit_length()
         x = int.from_bytes(_resize(struct.pack(fmt, *a), word, size), "little") ^ biases
         y = int.from_bytes(_resize(struct.pack(fmt, *b), word, size), "little") ^ biases
