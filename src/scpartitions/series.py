@@ -12,8 +12,8 @@ self-conjugate even-core builders cost O(N^1.5). So does the Gauss
 builder, whose odd factors are a sum of O(sqrt(N)) terms, one geometric
 pass each. A dense product (`*`) is one big-integer multiply by
 Kronecker substitution, O(N^1.58) in C (Karatsuba) for digits of a
-fixed width. Digits of up to 8 bytes are packed and read back by one
-`struct` call per series; wider ones by one `int.to_bytes` or
+fixed width. Digits of 1, 2, 4 or 8 bytes are packed and read back by
+one `struct` call per series; other widths by one `int.to_bytes` or
 `int.from_bytes` per coefficient. Either way that is O(N) at C speed.
 """
 
@@ -110,10 +110,9 @@ class TruncatedSeries:
         bound and above every input coefficient, digits biased by half are
         nonnegative and below q: no digit carries into the next.
 
-        Digits of at most 8 bytes take one struct call per series, in words
-        cut to size bytes, not rounded up (a larger multiply). A digit's two's
-        complement with its top bit flipped is the digit plus half, so one
-        XOR biases every digit. Wider digits take _pack and _unpack.
+        Digits of 1, 2, 4 or 8 bytes take one struct call per series, other
+        widths _pack and _unpack. A digit's two's complement with its top bit
+        flipped is the digit plus half, so one XOR biases every digit.
         """
         self._check_order(other)
         a, b = self._coeffs, other._coeffs
@@ -122,16 +121,16 @@ class TruncatedSeries:
         size = max(top_a * top_b * n, top_a, top_b).bit_length() // 8 + 1
         # half * (1 + q + ... + q^order): every digit's bias, and the mask of its top bit.
         biases = int.from_bytes(b"\x80".rjust(size, b"\0") * n, "little")
-        if size > 8:
+        code = {1: "b", 2: "h", 4: "i", 8: "q"}.get(size)  # struct's signed word of size bytes
+        if code is None:
             half = 1 << (8 * size - 1)
             product = (_pack(a, size, half) - biases) * (_pack(b, size, half) - biases)
             return TruncatedSeries._from_coeffs(_unpack(product + biases, size, n, half))
-        # The smallest struct word of at least size bytes: 1, 2, 4 or 8.
-        fmt, word = f"<{n}{'bhiiqqqq'[size - 1]}", 1 << (size - 1).bit_length()
-        x = int.from_bytes(_resize(struct.pack(fmt, *a), word, size), "little") ^ biases
-        y = int.from_bytes(_resize(struct.pack(fmt, *b), word, size), "little") ^ biases
+        fmt = f"<{n}{code}"
+        x = int.from_bytes(struct.pack(fmt, *a), "little") ^ biases
+        y = int.from_bytes(struct.pack(fmt, *b), "little") ^ biases
         low = ((x - biases) * (y - biases) + biases) & ((1 << 8 * size * n) - 1)
-        digits = _resize((low ^ biases).to_bytes(size * n, "little"), size, word)
+        digits = (low ^ biases).to_bytes(size * n, "little")
         return TruncatedSeries._from_coeffs(struct.unpack(fmt, digits))
 
     def times_geometric(self, period: int) -> "TruncatedSeries":
@@ -182,17 +181,6 @@ def _unpack(value: int, size: int, count: int, half: int) -> Iterator[int]:
     raw = (value & ((1 << (8 * end)) - 1)).to_bytes(end, "little")
     digits = zip(*[iter(raw)] * size)  # one iterator drawn size times: each digit's bytes
     return map(half.__rsub__, map(int.from_bytes, digits, repeat("little")))
-
-
-def _resize(raw: bytes, old: int, new: int) -> bytes:
-    """Each old-byte two's-complement digit of raw as a new-byte one: cut or sign-extended."""
-    if old == new:
-        return raw
-    out = bytearray(len(raw) // old * new)
-    sign = raw[old - 1 :: old].translate(bytes(128) + b"\xff" * 128)  # each top byte's sign
-    for j in range(new):
-        out[j::new] = raw[j::old] if j < old else sign
-    return out
 
 
 def check_identity(lhs: TruncatedSeries, rhs: TruncatedSeries) -> IdentityCheck:

@@ -196,9 +196,9 @@ class TestKroneckerProduct:
                 got = TruncatedSeries(a) * TruncatedSeries(b)
                 assert list(got.coeffs) == dense_product(a, b, 7), (a, b)
         # Product bounds top_a * top_b * (order + 1) of exactly edge - 1 (the
-        # last k-byte width) and edge (one byte more; past 8 bytes, the wide
-        # route): constant operands put the bound itself, with either sign,
-        # in the last coefficient.
+        # last k-byte width) and edge (one byte more; from 2, 4 or 8 bytes, the
+        # per-coefficient route): constant operands put the bound itself, with
+        # either sign, in the last coefficient.
         for bound in (edge - 1, edge):
             n = max(d for d in range(1, 65) if bound % d == 0)
             for sign_a, sign_b in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
@@ -209,7 +209,7 @@ class TestKroneckerProduct:
                     assert list(got.coeffs) == dense_product(x, y, n - 1), (bound, x[0], y[0])
 
     def test_word_digits_skip_the_per_coefficient_packer(self, monkeypatch):
-        # Digits of at most 8 bytes are packed and read back by struct alone.
+        # Digits of 1, 2, 4 or 8 bytes are packed and read back by struct alone.
         def refuse(*args):
             raise AssertionError("per-coefficient packer reached")
 
@@ -220,7 +220,7 @@ class TestKroneckerProduct:
         b = [rng.randint(-9, 9) for _ in range(401)]
         assert list((TruncatedSeries(a) * TruncatedSeries(b)).coeffs) == dense_product(a, b, 400)
         assert sc_even_core_product_series(2, 400) == sc_even_core_product_by_factors(2, 400)
-        for k in range(1, 9):  # a largest k-byte digit, for every width up to 8
+        for k in (1, 2, 4, 8):  # a largest k-byte digit, for every word width
             top = 2 ** (8 * k - 1) - 1
             assert (TruncatedSeries([top]) * TruncatedSeries([-1])).coeffs == (-top,)
 
