@@ -9,16 +9,16 @@ partition built from its diagonal hooks carries them and its conjugate
 
 Hook lengths come from the beads, the first-column hook set B: the hooks
 are the differences x - y with x in B and 0 <= y < x not in B. A
-partition packs its beads once into the bits of one integer, so the hook
-multiset takes one big-integer step per length up to the largest hook,
-the t-core test one shift per modulus, and the disparity depends only on
-how many beads are odd.
+partition packs its beads once into the bits of one integer, so the
+count of hooks of each length is one big-integer product (the beads
+times the reversed gaps, as digits), the t-core test one shift per
+modulus, and the disparity depends only on how many beads are odd.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import Counter
+import struct
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -30,6 +30,13 @@ __all__ = [
     "beta_from_diagonal",
     "check_moduli",
 ]
+
+
+# A bit string as digits: a bead's "1" is the digit 1, or a gap's "0" is.
+_BEAD_DIGITS = bytes.maketrans(b"01", b"\0\1")
+_GAP_DIGITS = bytes.maketrans(b"01", b"\1\0")
+# By the bit length of a digit's bound: the struct word (bytes, code) that holds it.
+_WORDS = ((1, "B"),) * 9 + ((2, "H"),) * 8 + ((4, "I"),) * 16 + ((8, "Q"),) * 32
 
 
 class PartitionError(ValueError):
@@ -153,21 +160,29 @@ class Partition:
             d = i
         return d
 
-    def hook_multiset(self) -> Counter:
-        """Multiset of all hook lengths, keyed by value; total equals the weight.
+    def hook_multiset(self) -> tuple[int, ...]:
+        """Entry h counts the hooks of length h, up to the largest hook; () if empty.
 
-        Hook h is counted once per bead x with x - h >= 0 not a bead: with
-        the beads as the bits of one integer, the count is the number of
-        bits of beads >> h that are gaps. Only lengths that occur are keys.
+        A hook of length h pairs a bead x with a gap x - h. With bead x at
+        digit x of one integer and gap y at digit n - 1 - y of another (n
+        the beads' bit length), digit n - 1 + h of their product counts the
+        hooks of length h. A digit counts at most n // 2 pairs, since beads
+        and gaps share n places, so a word that holds n // 2 never carries.
         """
         beads = self._bead_bits()
-        gaps = ~beads
-        counts = Counter()
-        for h in range(1, beads.bit_length()):
-            count = (beads >> h & gaps).bit_count()
-            if count:
-                counts[h] = count
-        return counts
+        if not beads:
+            return ()
+        n = beads.bit_length()
+        size, code = _WORDS[(n // 2).bit_length()]
+        bits = format(beads, "b").encode()  # bit n - 1 first
+        x, y = bits.translate(_BEAD_DIGITS), bits[::-1].translate(_GAP_DIGITS)
+        if size > 1:
+            zero, one = bytes(size), b"\1".rjust(size, b"\0")
+            x = x.replace(b"\0", zero).replace(b"\1", one)
+            y = y.replace(b"\0", zero).replace(b"\1", one)
+        product = int.from_bytes(x, "big") * int.from_bytes(y, "big")
+        digits = product.to_bytes(size * (2 * n - 1), "little")[size * (n - 1):]
+        return struct.unpack(f"<{n}{code}", digits)
 
     def beta_set(self) -> tuple[int, ...]:
         """First-column hook lengths, strictly decreasing; one per part."""

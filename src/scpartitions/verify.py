@@ -166,20 +166,21 @@ def _prop42(sc, image, b):
 def _thm44(sc, image, b):
     mu = image.mu
     sc_hooks = sc.hook_multiset()
-    mu_hooks = mu.hook_multiset()
-    evens = {h // 2: c for h, c in sc_hooks.items() if h % 2 == 0}
-    doubled = {k: 2 * c for k, c in mu_hooks.items()}
+    # Entry k: the hooks of length 2k of sc, and twice those of length k of mu.
+    evens = sc_hooks[::2]
+    doubled = tuple(map((2).__mul__, mu.hook_multiset()))
+    doubled += (0,) * (len(evens) - len(doubled))
     if evens != doubled:
-        diff = sorted(set(evens) | set(doubled))
-        k = next(x for x in diff if evens.get(x, 0) != doubled.get(x, 0))
+        evens += (0,) * (len(doubled) - len(evens))
+        k = next(k for k in range(len(evens)) if evens[k] != doubled[k])
         return 1, {
             "partition": str(sc),
             "mu": str(mu),
             "k": k,
-            "even_hooks_at_2k": evens.get(k, 0),
-            "twice_mu_hooks_at_k": doubled.get(k, 0),
+            "even_hooks_at_2k": evens[k],
+            "twice_mu_hooks_at_k": doubled[k],
         }
-    odd_count = sum(sc_hooks.values()) - sum(evens.values())
+    odd_count = sum(sc_hooks[1::2])
     if odd_count != sc.weight - 2 * mu.weight:
         return 1, {
             "partition": str(sc),

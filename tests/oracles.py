@@ -70,6 +70,12 @@ def hooks_by_formula(parts):
     return Counter(h for row in hook_table(parts) for h in row)
 
 
+def hook_vector(counts):
+    """A Counter of hook lengths as Partition.hook_multiset gives it: entry h
+    counts length h, from 0 up to the largest length; () when empty."""
+    return tuple(counts[h] for h in range(max(counts, default=-1) + 1))
+
+
 def beta_core(beta, ts):
     """Set-based abacus test: beta (a set of beads) is closed under subtracting each t."""
     return all(x < t or (x - t) in beta for t in ts for x in beta)

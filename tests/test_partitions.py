@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,14 @@ from scpartitions import (
     self_conjugate_of,
 )
 
-from oracles import beta_core, hook_table, hooks_by_cells, hooks_by_formula, transpose_by_cells
+from oracles import (
+    beta_core,
+    hook_table,
+    hook_vector,
+    hooks_by_cells,
+    hooks_by_formula,
+    transpose_by_cells,
+)
 
 
 def _parts_up_to(weight):
@@ -141,24 +149,22 @@ class TestHooks:
         assert hook_table((1,)) == ((1,),)
 
     def test_multiset_4443(self):
-        assert dict(Partition([4, 4, 4, 3]).hook_multiset()) == {
-            7: 1, 6: 2, 5: 3, 4: 2, 3: 3, 2: 2, 1: 2,
-        }
+        # Lengths 0 .. 7: 1: 2, 2: 2, 3: 3, 4: 2, 5: 3, 6: 2, 7: 1.
+        assert Partition([4, 4, 4, 3]).hook_multiset() == (0, 2, 2, 3, 2, 3, 2, 1)
 
     def test_multiset_small(self):
-        assert dict(Partition([2, 1]).hook_multiset()) == {3: 1, 1: 2}
-        assert dict(Partition().hook_multiset()) == {}
+        assert Partition([2, 1]).hook_multiset() == (0, 2, 0, 1)
+        assert Partition().hook_multiset() == ()
 
     def test_multiset_matches_cell_oracle(self):
         for n in range(11):
             for p in partitions_of(n):
-                got = sorted(p.hook_multiset().elements())
-                assert got == hooks_by_cells(p.parts)
+                assert p.hook_multiset() == hook_vector(Counter(hooks_by_cells(p.parts)))
 
     def test_multiset_total_is_weight(self):
         for n in range(26):
             for p in partitions_of(n):
-                assert sum(p.hook_multiset().values()) == n
+                assert sum(p.hook_multiset()) == n
 
     def test_hook_symmetry_up_to_40(self):
         for n in range(41):
@@ -166,14 +172,48 @@ class TestHooks:
                 assert p.hook_multiset() == p.conjugate().hook_multiset()
 
     def test_multiset_matches_formula_oracle_up_to_30(self):
-        # dict equality, so a key with count 0 would fail as well.
+        # tuple equality, so a trailing 0 or a missing length would fail as well.
         for n in range(31):
             for p in partitions_of(n):
-                assert dict(p.hook_multiset()) == dict(hooks_by_formula(p.parts)), p
+                assert p.hook_multiset() == hook_vector(hooks_by_formula(p.parts)), p
 
     @given(_parts_up_to(200))
     def test_multiset_matches_formula_oracle_up_to_200(self, p):
-        assert dict(p.hook_multiset()) == dict(hooks_by_formula(p.parts))
+        assert p.hook_multiset() == hook_vector(hooks_by_formula(p.parts))
+
+
+class TestHookDigitWidth:
+    # A digit of the hook product counts at most n // 2 pairs, for n the
+    # beads' bit length: 1-byte digits up to a largest bead of 510, wider
+    # ones above. The staircases put more than 255 in a digit or sit at the
+    # limit, so packing too narrow a digit would carry into the next.
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            range(300, 0, -1),  # staircase: 300 hooks of length 1, 2-byte digits
+            (600,),  # a single row: largest bead 600, 2-byte digits
+            range(256, 1, -1),  # largest bead 510: 255 hooks of length 1, 1-byte digits
+            range(256, 0, -1),  # largest bead 511: 256 hooks of length 1, 2-byte digits
+            (),
+            (1,),
+        ],
+        ids=["staircase-300", "row-600", "bead-510", "bead-511", "empty", "one-box"],
+    )
+    def test_matches_formula_oracle(self, parts):
+        p = Partition(parts)
+        assert p.hook_multiset() == hook_vector(hooks_by_formula(p.parts))
+
+    def test_staircase_hook_counts(self):
+        # The staircase (n, ..., 1) has n + 1 - j hooks of length 2j - 1 and
+        # none of even length.
+        for n in (255, 256, 300):
+            expected = [0] * (2 * n)
+            expected[1::2] = range(n, 0, -1)
+            assert Partition(range(n, 0, -1)).hook_multiset() == tuple(expected), n
+
+    def test_row_with_four_byte_digits(self):
+        # Largest bead 131,072: a digit bound of 65,536 takes 4-byte digits.
+        assert Partition([131_072]).hook_multiset() == (0,) + (1,) * 131_072
 
 
 class TestBetaSet:
@@ -315,7 +355,7 @@ class TestDisparity:
     def test_counts_match_multiset(self):
         for n in range(16):
             for p in partitions_of(n):
-                odd = sum(c for h, c in p.hook_multiset().items() if h % 2)
+                odd = sum(p.hook_multiset()[1::2])
                 assert p.disparity() == odd - (n - odd)
 
     def test_matches_formula_oracle_up_to_30(self):
@@ -404,7 +444,7 @@ class TestCores:
         # The fast first-column test must match the definition verbatim.
         for n in range(29):
             for p in partitions_of(n):
-                hooks = p.hook_multiset()
+                hooks = [h for h, c in enumerate(p.hook_multiset()) if c]
                 for t in range(1, 9):
                     brute = not any(h % t == 0 for h in hooks)
                     assert p.is_simultaneous_core((t,)) == brute

@@ -165,6 +165,21 @@ def test_per_partition_primitives_have_no_generator_expression():
     assert found == set()
 
 
+def test_hook_multiset_has_no_loop():
+    # The hook counts are one big-integer product: packing, the product and
+    # the read-back are builtin calls, so the kernel costs the same number of
+    # interpreter steps whatever the partition's size.
+    path = Path(scpartitions.__file__).parent / "partitions.py"
+    cls = next(
+        node
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.ClassDef) and node.name == "Partition"
+    )
+    fn = next(f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "hook_multiset")
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+    assert [type(node).__name__ for node in ast.walk(fn) if isinstance(node, loops)] == []
+
+
 def _reach(root: str):
     # The package's module-level functions reached from root, call by call,
     # and every name that one of them loads.

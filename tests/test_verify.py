@@ -174,6 +174,11 @@ def _flip_on(fn, parts):
     return flipped
 
 
+def _add_at(hooks, h):
+    # One more hook of length h, in a hook_multiset vector that reaches h.
+    return hooks[:h] + (hooks[h] + 1,) + hooks[h + 1:]
+
+
 # One row per registered check: (id, (owner, name) patched, defect, bounds,
 # cases up to and including the failing one, counterexample payload).
 # The defect sits beside the law under test, so classify and phi still run
@@ -230,7 +235,7 @@ DEFECT_TABLE = [
     ),
     (
         "thm4.4", (Partition, "hook_multiset"),
-        lambda fn: lambda p: fn(p) + Counter({4: 1}) if p.parts == (3, 2, 1) else fn(p),
+        lambda fn: lambda p: _add_at(fn(p), 4) if p.parts == (3, 2, 1) else fn(p),
         dict(max_weight=12),
         6, {
             "partition": "3,2,1", "mu": "", "k": 2,
