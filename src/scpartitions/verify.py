@@ -8,13 +8,15 @@ Eight checks are laws about one partition: rows (_Law) of two walks
 (_walk), one over the self-conjugate partitions and their images under
 phi, one over all partitions. thm3.1 has a row in each. A walk runs
 law-major over chunks of each weight's partitions, so each row reports
-its own law time.
+its own law time. The six series identities are rows (_Series) of one
+table (_SERIES); a row's sides look their builders up when they run.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from copy import deepcopy
 from itertools import islice, repeat
 from typing import Callable, NamedTuple
 
@@ -266,11 +268,6 @@ def _lem41(mu, image, b):
 _SIM_PAIRS = ((4, 6), (6, 8))
 
 
-def _class_rows(moduli, max_n: int) -> dict:
-    """Per-class rows of the self-conjugate moduli-cores, from one search."""
-    return enumeration.tabulate(enumeration.add_hook, moduli, max_n, key=enumeration.bead_class)
-
-
 def _check_prop46(b: SweepBounds):
     max_class = min(b.max_class, 3)
     params = {"pairs": [list(p) for p in _SIM_PAIRS], "max_class": max_class, "max_weight": b.max_weight}
@@ -286,7 +283,9 @@ def _check_prop46(b: SweepBounds):
         for moduli in _SIM_PAIRS:
             halves = [t // 2 for t in moduli]
             ordinary = enumeration.sim_core_count_table(halves, b.max_weight // 4).rows
-            by_class = _class_rows(moduli, b.max_weight)
+            by_class = enumeration.tabulate(
+                enumeration.add_hook, moduli, b.max_weight, key=enumeration.bead_class
+            )
             for m in range(max_class + 1):
                 for n, count in enumerate(by_class.get(m, (0,) * (b.max_weight + 1))):
                     yield moduli, m, n, count, ordinary
@@ -311,7 +310,10 @@ def _check_cor48(b: SweepBounds):
                 ((2 * n, 2 * n + 2, 2 * n + 4), enumeration.motzkin),
             ):
                 bound = 4 * enumeration.sufficient_core_bound([t // 2 for t in ts])
-                by_class = _class_rows(ts, bound + _triangular(max_class))
+                by_class = enumeration.tabulate(
+                    enumeration.add_hook, ts, bound + _triangular(max_class),
+                    key=enumeration.bead_class,
+                )
                 for m in range(max_class + 1):
                     total = sum(by_class.get(m, ())[: bound + _triangular(m) + 1])
                     yield ts, m, total, closed_form(n)
@@ -319,112 +321,69 @@ def _check_cor48(b: SweepBounds):
     return _first_counterexample({"n_range": [1, 4], "max_class": max_class}, (cases(), law))
 
 
-def _series_rows(params: dict, order: int, rows, lhs_key: str = "enumerated"):
-    """Compare each (tag, lhs, rhs) row coefficient-wise; order + 1 cases per row.
+class _Series(NamedTuple):
+    """One row of _SERIES: left(x, order) == right(x, order) for each x of the
+    moduli in over ({params key: moduli}, or {} for one case, x = None), order
+    + 1 cases each. A mismatch reports x under its tag (_TAGS) in the payload."""
 
-    A mismatch reports the row's tag, the first exponent that differs and
-    both coefficients there, the left one under lhs_key.
-    """
+    description: str
+    over: dict
+    left: Callable
+    right: Callable
+    lhs_key: str = "enumerated"
 
-    def law(row):
-        tag, lhs, rhs = row
-        outcome = series.check_identity(lhs, rhs)
-        if not outcome.equal:
-            return {
-                **tag,
-                "exponent": outcome.first_mismatch,
-                lhs_key: outcome.lhs_coefficient,
-                "product": outcome.rhs_coefficient,
-            }
+    def check(self, b: SweepBounds):
+        def law(x):
+            outcome = series.check_identity(self.left(x, b.order), self.right(x, b.order))
+            if not outcome.equal:
+                tag = {_TAGS[key]: deepcopy(x) for key in self.over}
+                # outcome[1:] is (first_mismatch, lhs_coefficient, rhs_coefficient).
+                return {**tag, **dict(zip(("exponent", self.lhs_key, "product"), outcome[1:]))}
 
-    return _first_counterexample(params, (rows, law), per_case=order + 1)
-
-
-def _counted(tag: dict, table, rhs, order: int):
-    """Row: the series of a count table vs the series rhs."""
-    return tag, series.series_from_counts(table, 1, order), rhs
+        params = deepcopy({**self.over, "order": b.order})
+        xs = next(iter(self.over.values()), [None])
+        return _first_counterexample(params, (xs, law), per_case=b.order + 1)
 
 
-def _factorization(tag: dict, sc_table, table, order: int):
-    """Row: self-conjugate counts vs quadrupled counts times the triangular series."""
-    quadrupled = series.series_from_counts(table, 4, order)
-    return _counted(tag, sc_table, quadrupled * series.triangular_series(order), order)
+def _quadrupled(table, order: int):
+    return series.series_from_counts(table, 4, order) * series.triangular_series(order)
 
 
-_CORE_GF_MODULI = (2, 3, 5)
-
-
-def _check_eq11(b: SweepBounds):
-    tables = {t: enumeration.core_count_table(t, b.order) for t in _CORE_GF_MODULI}
-    rows = (
-        _counted({"t": t}, tables[t], series.core_product_series(t, b.order), b.order)
-        for t in _CORE_GF_MODULI
-    )
-    return _series_rows({"moduli": list(_CORE_GF_MODULI), "order": b.order}, b.order, rows)
-
-
-_SC_GF_MODULI = (1, 2, 3)
-
-
-def _check_eq12(b: SweepBounds):
-    rows = (
-        _counted(
-            {"t": t},
-            enumeration.sc_core_count_table(2 * t, b.order),
-            series.sc_even_core_product_series(t, b.order),
-            b.order,
-        )
-        for t in _SC_GF_MODULI
-    )
-    return _series_rows({"moduli": list(_SC_GF_MODULI), "order": b.order}, b.order, rows)
-
-
-def _check_gauss(b: SweepBounds):
-    row = ({}, series.triangular_series(b.order), series.gauss_product_series(b.order))
-    return _series_rows({"order": b.order}, b.order, [row], lhs_key="triangular")
-
-
-def _check_cor12(b: SweepBounds):
-    row = _factorization(
-        {},
-        enumeration.sc_count_table(b.order),
-        enumeration.partition_count_table(b.order // 4),
-        b.order,
-    )
-    return _series_rows({"order": b.order}, b.order, [row])
-
-
-_FACTOR_MODULI = (2, 3)
-
-
-def _check_cor15(b: SweepBounds):
-    rows = (
-        _factorization(
-            {"t": t},
-            enumeration.sc_core_count_table(2 * t, b.order),
-            enumeration.core_count_table(t, b.order // 4),
-            b.order,
-        )
-        for t in _FACTOR_MODULI
-    )
-    return _series_rows({"moduli": list(_FACTOR_MODULI), "order": b.order}, b.order, rows)
-
-
-_FACTOR_PAIRS = ((2, 3), (3, 4))
-
-
-def _check_thm14(b: SweepBounds):
-    rows = (
-        _factorization(
-            {"ts": [t1, t2]},
-            enumeration.sc_sim_core_count_table((2 * t1, 2 * t2), b.order),
-            enumeration.sim_core_count_table((t1, t2), b.order // 4),
-            b.order,
-        )
-        for t1, t2 in _FACTOR_PAIRS
-    )
-    params = {"pairs": [list(p) for p in _FACTOR_PAIRS], "order": b.order}
-    return _series_rows(params, b.order, rows)
+_TAGS = {"moduli": "t", "pairs": "ts"}
+_SERIES = {
+    "eq1.1": _Series(
+        "t-core counting series equals its product expansion", {"moduli": [2, 3, 5]},
+        lambda t, n: series.series_from_counts(enumeration.core_count_table(t, n), 1, n),
+        lambda t, n: series.core_product_series(t, n),
+    ),
+    "eq1.2": _Series(
+        "self-conjugate even-core series equals its product expansion", {"moduli": [1, 2, 3]},
+        lambda t, n: series.series_from_counts(enumeration.sc_core_count_table(2 * t, n), 1, n),
+        lambda t, n: series.sc_even_core_product_series(t, n),
+    ),
+    "gauss": _Series(
+        "even/odd product expansion equals the triangular series", {},
+        lambda _, n: series.triangular_series(n), lambda _, n: series.gauss_product_series(n),
+        "triangular",
+    ),
+    "cor1.2": _Series(
+        "self-conjugate counts factor through quadrupled partition counts", {},
+        lambda _, n: series.series_from_counts(enumeration.sc_count_table(n), 1, n),
+        lambda _, n: _quadrupled(enumeration.partition_count_table(n // 4), n),
+    ),
+    "thm1.4": _Series(
+        "self-conjugate simultaneous-core series factorization", {"pairs": [[2, 3], [3, 4]]},
+        lambda ts, n: series.series_from_counts(
+            enumeration.sc_sim_core_count_table([2 * t for t in ts], n), 1, n
+        ),
+        lambda ts, n: _quadrupled(enumeration.sim_core_count_table(ts, n // 4), n),
+    ),
+    "cor1.5": _Series(
+        "self-conjugate 2t-core series factorization", {"moduli": [2, 3]},
+        lambda t, n: series.series_from_counts(enumeration.sc_core_count_table(2 * t, n), 1, n),
+        lambda t, n: _quadrupled(enumeration.core_count_table(t, n // 4), n),
+    ),
+}
 
 
 _RING_LAWS = (
@@ -498,12 +457,7 @@ CHECKS = {
     ),
     "prop4.6": ("class-m simultaneous-core counts reduce to ordinary ones", _check_prop46),
     "cor4.8": ("Catalan/Motzkin totals for consecutive even moduli", _check_cor48),
-    "eq1.1": ("t-core counting series equals its product expansion", _check_eq11),
-    "eq1.2": ("self-conjugate even-core series equals its product expansion", _check_eq12),
-    "gauss": ("even/odd product expansion equals the triangular series", _check_gauss),
-    "cor1.2": ("self-conjugate counts factor through quadrupled partition counts", _check_cor12),
-    "thm1.4": ("self-conjugate simultaneous-core series factorization", _check_thm14),
-    "cor1.5": ("self-conjugate 2t-core series factorization", _check_cor15),
+    **{t: (row.description, row.check) for t, row in _SERIES.items()},
     "ringlaws": ("randomized series ring laws", _check_ringlaws),
 }
 

@@ -1,7 +1,9 @@
 import json
+import re
 import time
 from collections import Counter
 from itertools import accumulate
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -304,8 +306,46 @@ def test_defect_table_covers_every_check():
     assert sorted(row[0] for row in DEFECT_TABLE) == sorted(verify.all_ids())
 
 
+def _only_when(test, defect):
+    """The defect, applied only to the calls whose arguments pass test."""
+
+    def wrap(fn):
+        broken = defect(fn)
+        return lambda *args: broken(*args) if test(*args) else fn(*args)
+
+    return wrap
+
+
+# Every DEFECT_TABLE series row fails on its first modulus. These put a
+# defect in the last row alone of each multi-row series check: the check
+# reaches it only after every earlier row has passed, order + 1 cases each.
+LAST_ROW_DEFECTS = [
+    (
+        "eq1.1", (verify.series, "core_product_series"),
+        _only_when(lambda t, n: t == 5, lambda fn: _bump(fn, 17)), dict(order=20),
+        63, {"t": 5, "exponent": 17, "enumerated": 7, "product": 8},
+    ),
+    (
+        "eq1.2", (verify.series, "sc_even_core_product_series"),
+        _only_when(lambda t, n: t == 3, lambda fn: _bump(fn, 9)), dict(order=20),
+        63, {"t": 3, "exponent": 9, "enumerated": 2, "product": 3},
+    ),
+    (
+        "thm1.4", (verify.enumeration, "sim_core_count_table"),
+        _only_when(lambda ts, n: list(ts) == [3, 4], lambda fn: _bump_row(fn, 0)),
+        dict(order=20),
+        42, {"ts": [3, 4], "exponent": 0, "enumerated": 1, "product": 2},
+    ),
+    (
+        "cor1.5", (verify.enumeration, "core_count_table"),
+        _only_when(lambda t, n: t == 3, lambda fn: _bump_row(fn, 1)), dict(order=20),
+        42, {"t": 3, "exponent": 4, "enumerated": 1, "product": 2},
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "theorem, target, defect, bounds, cases, counterexample", DEFECT_TABLE
+    "theorem, target, defect, bounds, cases, counterexample", DEFECT_TABLE + LAST_ROW_DEFECTS
 )
 def test_first_counterexample_stops_and_counts(
     monkeypatch, theorem, target, defect, bounds, cases, counterexample
@@ -316,6 +356,32 @@ def test_first_counterexample_stops_and_counts(
     assert not report.passed
     assert report.cases == cases
     assert report.counterexample == counterexample
+
+
+def test_a_series_report_owns_its_params_and_payload(monkeypatch):
+    # The moduli are lists in the table; a report holds copies, so editing
+    # one report changes neither the table nor the next report.
+    table = verify.enumeration.sim_core_count_table
+    monkeypatch.setattr(verify.enumeration, "sim_core_count_table", _bump_row(table, 0))
+    first = verify.run_check("thm1.4", order=12)
+    first.params["pairs"][0].append(9)
+    first.counterexample["ts"].append(9)
+    again = verify.run_check("thm1.4", order=12)
+    assert again.params == {"pairs": [[2, 3], [3, 4]], "order": 12}
+    assert again.counterexample["ts"] == [2, 3]
+
+
+def test_readme_verify_table_lists_every_check_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Verification checks", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", section, flags=re.M)
+    assert [theorem for theorem, _ in rows] == verify.all_ids()
+    # Each series row names the moduli its _SERIES row runs.
+    text = dict(rows)
+    for theorem, row in verify._SERIES.items():
+        for moduli in row.over.values():
+            named = ", ".join(str(tuple(x)) if isinstance(x, list) else str(x) for x in moduli)
+            assert named in text[theorem], theorem
 
 
 def test_thm31_mu_side_catches_a_builder_that_keeps_its_hooks(monkeypatch):
