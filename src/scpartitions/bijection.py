@@ -93,8 +93,9 @@ def psi(m: int, mu: Partition) -> Partition:
     r = found[0]
     s = r - d
 
-    # A slice of a valid partition is one, so its conjugate needs no check.
-    gamma = Partition._from_parts(parts[r:])._conjugate_parts()
+    # Column j of the rows after r has mu'_j - r cells exactly when j <= mu_{r+1},
+    # so the tail's conjugate is read off mu's own (kept on mu once computed).
+    gamma = tuple(map((r).__rsub__, mu._conjugate_parts()[: at[r + 1]]))
     if len(gamma) > s:
         raise RuntimeError(f"conjugate tail exceeds {s} parts for m={m}, mu=({mu})")
     gamma += (0,) * (s - len(gamma))

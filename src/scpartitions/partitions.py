@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 import struct
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -70,8 +70,10 @@ class Partition:
             cleaned = tuple(map(operator.index, parts))
         except TypeError as exc:
             raise PartitionError(f"parts must be integers: {exc}") from exc
-        while cleaned and cleaned[-1] == 0:
-            cleaned = cleaned[:-1]
+        if cleaned and cleaned[-1] == 0:
+            # One slice past the last nonzero part keeps this linear in the zeros.
+            zeros = len(list(takewhile(operator.not_, reversed(cleaned))))
+            cleaned = cleaned[: len(cleaned) - zeros]
         # Weakly decreasing with a positive last part is valid; only an
         # invalid input walks the parts in Python, to name the first fault.
         if cleaned and not (cleaned[-1] > 0 and all(map(operator.ge, cleaned, cleaned[1:]))):

@@ -257,9 +257,15 @@ def _check_prop34(b: SweepBounds):
     return _first_counterexample(params, (on_congruence, law), (off_congruence, law))
 
 
+# lem4.1 walks the partitions up to this weight. The corner hook h(1,1) is
+# at most the weight, so _INTERVALS[corner] = {1, ..., corner} covers the walk.
+_LEM41_WEIGHT = 25
+_INTERVALS = tuple(frozenset(range(1, c + 1)) for c in range(_LEM41_WEIGHT + 1))
+
+
 def _lem41(mu, image, b):
     corner = mu.parts[0] + len(mu) - 1
-    expected = frozenset(range(1, corner + 1)).difference(mu.conjugate().beta_set())
+    expected = _INTERVALS[corner].difference(mu.conjugate().beta_set())
     got = bijection.complement_beta(mu)
     if got != expected:
         return 1, {"mu": str(mu), "complement": sorted(got), "expected": sorted(expected)}
@@ -435,8 +441,8 @@ CHECKS = {
         (
             _Law(
                 _lem41, "p",
-                params=lambda b: {"max_mu_weight": min(b.max_weight, 25)},
-                weights=lambda b: range(1, min(b.max_weight, 25) + 1),
+                params=lambda b: {"max_mu_weight": min(b.max_weight, _LEM41_WEIGHT)},
+                weights=lambda b: range(1, min(b.max_weight, _LEM41_WEIGHT) + 1),
             ),
         ),
     ),

@@ -144,6 +144,10 @@ class TestPsi:
                     lam, expected = psi(m, mu), psi_by_definition(m, mu)
                     assert lam == expected, (m, mu)
                     assert lam.diagonal_hooks() == expected.diagonal_hooks(), (m, mu)
+                    # mu keeps its conjugate after the first class; a fresh mu has none.
+                    fresh = psi(m, Partition(mu.parts))
+                    assert fresh == expected, (m, mu)
+                    assert fresh.diagonal_hooks() == expected.diagonal_hooks(), (m, mu)
 
 
 class TestDisparityLaw:

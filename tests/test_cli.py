@@ -50,6 +50,18 @@ class TestMap:
         obj = json.loads(out)
         assert (obj["m"], obj["mu"]) == (2, "3")
 
+    @pytest.mark.parametrize("argv", [
+        ["map", "1" + ",0" * 60000],
+        ["inverse", "--m", "0", "--mu", "1" + ",0" * 60000],
+    ])
+    def test_trailing_zeros_do_not_hang(self, capsys, argv):
+        # Trailing zeros are stripped in linear time, before any admission check.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        json.loads(out)
+
     def test_non_self_conjugate_rejected(self, capsys):
         code, _, err = run(capsys, "map", "5,4,2,1")
         assert code == 2

@@ -61,6 +61,10 @@ class TestConstruction:
         assert Partition([3, 1, 0, 0]).parts == (3, 1)
         assert Partition([0]).parts == ()
 
+    def test_a_million_trailing_zeros_strip_at_once(self):
+        # One slice past the last nonzero part; a slice per zero took minutes here.
+        assert Partition([2] + [0] * 1_000_000) == Partition([2])
+
     def test_increasing_rejected_with_index(self):
         with pytest.raises(PartitionError, match="index 1"):
             Partition([2, 3, 1])

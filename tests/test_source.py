@@ -180,6 +180,24 @@ def test_hook_multiset_has_no_loop():
     assert [type(node).__name__ for node in ast.walk(fn) if isinstance(node, loops)] == []
 
 
+def test_psi_builds_no_throwaway_partition():
+    # psi reads the tail's conjugate from mu's own; its one partition is its
+    # result, which sc_from_diagonal builds and checks.
+    path = Path(scpartitions.__file__).parent / "bijection.py"
+    fn = next(
+        node
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name == "psi"
+    )
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert called.isdisjoint({"Partition", "_from_parts"}), called
+    assert "sc_from_diagonal" in called
+
+
 def _reach(root: str):
     # The package's module-level functions reached from root, call by call,
     # and every name that one of them loads.
