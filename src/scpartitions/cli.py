@@ -1,14 +1,15 @@
 """Command-line interface: map, inverse, count, series, and verify.
 
 Output is machine-readable and deterministic: JSON with sorted keys, or
-CSV for count tables. Each subcommand offers only the flags it acts on:
---out on all five, --format on count, --verbose on map and inverse. A
-count family or series kind is one row of a table naming the parameter
-flags it reads; a missing one or any other one exits 2. Every bound that
-enumerates partitions is admitted against a budget before any work.
-Exit codes: 0 success, 1 verification failure, 2 usage or validation
-error. Relative --out paths resolve against the SCPARTITIONS_OUT_DIR
-environment variable when it is set.
+CSV ("n,count", then one row per weight) for count tables. Each
+subcommand offers only the flags it acts on: --out on all five, --format
+on count, --verbose on map and inverse. A count family or series kind is
+one row of a table naming the parameter flags it reads; a missing one or
+any other one exits 2, and count's JSON lists them with their parsed
+values. Every bound that enumerates partitions is admitted against a
+budget before any work. Exit codes: 0 success, 1 verification failure, 2
+usage or validation error. Relative --out paths resolve against the
+SCPARTITIONS_OUT_DIR environment variable when it is set.
 """
 
 from __future__ import annotations
@@ -167,13 +168,13 @@ def _admit_order(flag: str, order: int) -> None:
 
 
 def _admit(flag: str, value: int, counts, budget: int, overrun: str) -> None:
-    """Refuse `flag value` once the sum of counts(n).rows[w] over w <= value passes budget,
+    """Refuse `flag value` once the sum of counts(n)[w] over w <= value passes budget,
     naming the largest value admitted. counts(n) is built for doubling n, so a huge value
     costs no more than reading up to the first weight past the budget."""
     total, rows = 0, ()
     for w in range(value + 1):
         if w == len(rows):
-            rows = counts(2 * w + 63).rows
+            rows = counts(2 * w + 63)
         total += rows[w]
         if total > budget:
             largest = w - 1 if w else "none"
@@ -196,19 +197,18 @@ def _chosen(args, flag: str, table: dict) -> tuple:
 
 
 # family -> (parameter flags it reads, per-weight count table bounding its work or None
-# when --max is capped at ORDER_LIMIT instead, table builder)
+# when --max is capped at ORDER_LIMIT instead, table builder); --ts is parsed by then
 _FAMILIES = {
     "p": ((), None, lambda a: enumeration.partition_count_table(a.max)),
     "sc": ((), None, lambda a: enumeration.sc_count_table(a.max)),
     "core": (("--t",), enumeration.partition_count_table,
-             lambda a: enumeration.core_count_table(a.t, a.max)),
+             lambda a: enumeration.sim_core_count_table((a.t,), a.max)),
     "sc-core": (("--t",), enumeration.sc_count_table,
-                lambda a: enumeration.sc_core_count_table(a.t, a.max)),
+                lambda a: enumeration.sc_sim_core_count_table((a.t,), a.max)),
     "sim": (("--ts",), enumeration.partition_count_table,
-            lambda a: enumeration.sim_core_count_table(_parse_int_list(a.ts, "--ts"), a.max)),
+            lambda a: enumeration.sim_core_count_table(a.ts, a.max)),
     "sc-sim": (("--ts", "--m"), enumeration.sc_count_table,
-               lambda a: enumeration.count_sc_sim_core_m(
-                   _parse_int_list(a.ts, "--ts"), _nonneg(a.m, "--m"), a.max)),
+               lambda a: enumeration.count_sc_sim_core_m(a.ts, _nonneg(a.m, "--m"), a.max)),
 }
 
 # kind -> (parameter flags it reads, series builder)
@@ -222,17 +222,21 @@ _KINDS = {
 
 def _cmd_count(args) -> int:
     _nonneg(args.max, "--max")
-    _, work, build = _chosen(args, "--family", _FAMILIES)
+    reads, work, build = _chosen(args, "--family", _FAMILIES)
     if work is None:
         _admit_order("--max", args.max)
     else:
         overrun = f"would enumerate more than {COUNT_BUDGET} partitions"
         _admit("--max", args.max, work, COUNT_BUDGET, overrun)
-    table = build(args)
+    if args.ts is not None:
+        args.ts = _parse_int_list(args.ts, "--ts")
+    counts = build(args)
     if args.format == "csv":
-        _emit(table.to_csv_text(), args.out)
+        _emit("n,count\n" + "".join(f"{n},{c}\n" for n, c in enumerate(counts)), args.out)
     else:
-        _emit_json(table.to_json_dict(), args.out)
+        params = {flag[2:]: getattr(args, flag[2:]) for flag in reads}
+        rows = [[n, c] for n, c in enumerate(counts)]
+        _emit_json({"family": args.family, "params": params, "rows": rows}, args.out)
     return 0
 
 

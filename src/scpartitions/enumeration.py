@@ -2,15 +2,16 @@
 
 Generation order is part of the contract: partitions of n stream in
 reverse lexicographic order, self-conjugate partitions in decreasing
-lexicographic order of their diagonal hook tuples. A core table is one
-exhaustive depth-first search over the cores of one moduli set (tabulate,
-growing a partition one first row or one principal hook at a time), keyed
-by class for the class-m tables, so its cost follows the number of cores,
-not of partitions. Self-conjugate partitions are counted without a walk:
-a 0/1 knapsack over odd diagonal hooks gives their totals, and one that
-also tracks the surplus of hooks 1 over 3 mod 4 gives them by class.
-Brute force (every partition of n, then the core test) survives as the
-tests' oracle.
+lexicographic order of their diagonal hook tuples. Count tables are
+tuples indexed by weight. A core table is one exhaustive depth-first
+search over the cores of one moduli set (tabulate, growing a partition
+one first row or one principal hook at a time), keyed by class for the
+class-m tables, so its cost follows the number of cores, not of
+partitions. Self-conjugate partitions are counted without a walk: a 0/1
+knapsack over odd diagonal hooks gives their totals, and one that also
+tracks the surplus of hooks 1 over 3 mod 4 gives them by class. Brute
+force (every partition of n, then the core test) survives as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import math
 import operator
 from collections import defaultdict
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .bijection import _class_index
 from .partitions import Partition, _sc_from_hooks, check_moduli
 
 __all__ = [
-    "CountTable",
     "partitions_of",
     "partition_count",
     "distinct_odd_decompositions",
@@ -43,35 +43,9 @@ __all__ = [
     "partition_count_table",
     "sc_count_table",
     "sc_surplus_table",
-    "core_count_table",
-    "sc_core_count_table",
     "sc_sim_core_count_table",
     "sim_core_count_table",
 ]
-
-
-class CountTable(NamedTuple):
-    """Counts indexed by weight: rows[n] is the count at n, for n in [0, N]."""
-
-    family: str
-    params: dict
-    rows: tuple[int, ...]
-
-    @property
-    def max_n(self) -> int:
-        return len(self.rows) - 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "rows": [[n, c] for n, c in enumerate(self.rows)],
-        }
-
-    def to_csv_text(self) -> str:
-        lines = ["n,count"]
-        lines.extend(f"{n},{c}" for n, c in enumerate(self.rows))
-        return "\n".join(lines) + "\n"
 
 
 def _check_nonneg(n: int, name: str = "n") -> None:
@@ -311,7 +285,7 @@ def sufficient_core_bound(ts: Iterable[int]) -> int:
     return min(bounds)
 
 
-def count_sc_sim_core_m(ts: Iterable[int], m: int, max_n: int) -> CountTable:
+def count_sc_sim_core_m(ts: Iterable[int], m: int, max_n: int) -> tuple[int, ...]:
     """Per-weight counts of class-m self-conjugate simultaneous cores.
 
     All moduli must be even; odd entries are rejected. The principal-hook
@@ -323,8 +297,7 @@ def count_sc_sim_core_m(ts: Iterable[int], m: int, max_n: int) -> CountTable:
         if t % 2:
             raise ValueError(f"moduli must all be even, got {t}")
     _check_nonneg(m, "m")
-    rows = tabulate(add_hook, moduli, max_n, key=bead_class).get(m, (0,) * (max_n + 1))
-    return CountTable("sc-sim", {"ts": list(moduli), "m": m}, rows)
+    return tabulate(add_hook, moduli, max_n, key=bead_class).get(m, (0,) * (max_n + 1))
 
 
 def anderson_count(t1: int, t2: int) -> int:
@@ -379,21 +352,21 @@ def motzkin(n: int) -> int:
     return sum(math.comb(n, 2 * i) * catalan(i) for i in range(n // 2 + 1))
 
 
-def partition_count_table(max_n: int) -> CountTable:
+def partition_count_table(max_n: int) -> tuple[int, ...]:
     """Table of p(n) for n in [0, max_n]."""
     _check_nonneg(max_n, "max_n")
     partition_count(max_n)
-    return CountTable("p", {}, tuple(_pcounts[: max_n + 1]))
+    return tuple(_pcounts[: max_n + 1])
 
 
-def sc_count_table(max_n: int) -> CountTable:
+def sc_count_table(max_n: int) -> tuple[int, ...]:
     """Self-conjugate partition counts (distinct odd diagonal hook sets) for n in [0, max_n]."""
     _check_nonneg(max_n, "max_n")
     rows = [1] + [0] * max_n
     for h in range(1, max_n + 1, 2):
         # A 0/1-knapsack pass reads the row from before it: each set takes h at most once.
         rows[h:] = [a + b for a, b in zip(rows[h:], rows)]
-    return CountTable("sc", {}, tuple(rows))
+    return tuple(rows)
 
 
 def sc_surplus_table(max_n: int) -> dict[int, tuple[int, ...]]:
@@ -418,23 +391,11 @@ def sc_surplus_table(max_n: int) -> dict[int, tuple[int, ...]]:
     return {s: tuple(row) for s, row in rows.items() if any(row)}
 
 
-def core_count_table(t: int, max_n: int) -> CountTable:
-    """Table of t-core partition counts for n in [0, max_n]."""
-    return CountTable("core", {"t": t}, tabulate(add_row, (t,), max_n)[None])
-
-
-def sc_sim_core_count_table(ts: Iterable[int], max_n: int) -> CountTable:
+def sc_sim_core_count_table(ts: Iterable[int], max_n: int) -> tuple[int, ...]:
     """Self-conjugate simultaneous-core counts (all classes together)."""
-    moduli = check_moduli(ts)
-    return CountTable("sc-sim-all", {"ts": list(moduli)}, tabulate(add_hook, moduli, max_n)[None])
+    return tabulate(add_hook, ts, max_n)[None]
 
 
-def sc_core_count_table(t: int, max_n: int) -> CountTable:
-    """Self-conjugate t-core counts for n in [0, max_n]."""
-    return CountTable("sc-core", {"t": t}, tabulate(add_hook, (t,), max_n)[None])
-
-
-def sim_core_count_table(ts: Iterable[int], max_n: int) -> CountTable:
+def sim_core_count_table(ts: Iterable[int], max_n: int) -> tuple[int, ...]:
     """Simultaneous-core counts for n in [0, max_n]."""
-    moduli = check_moduli(ts)
-    return CountTable("sim", {"ts": list(moduli)}, tabulate(add_row, moduli, max_n)[None])
+    return tabulate(add_row, ts, max_n)[None]

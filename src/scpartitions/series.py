@@ -15,6 +15,7 @@ Kronecker substitution, O(N^1.58) in C (Karatsuba) for digits of a
 fixed width. Digits of 1, 2, 4 or 8 bytes are packed and read back by
 one `struct` call per series; other widths by one `int.to_bytes` or
 `int.from_bytes` per coefficient. Either way that is O(N) at C speed.
+series_from_counts reads a count table: a tuple indexed by weight.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import struct
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .enumeration import CountTable, _pentagonal, partition_count_table
+from .enumeration import _pentagonal, partition_count_table
 from .partitions import check_moduli
 
 __all__ = [
@@ -193,18 +194,18 @@ def check_identity(lhs: TruncatedSeries, rhs: TruncatedSeries) -> IdentityCheck:
     return IdentityCheck(True)
 
 
-def series_from_counts(table: CountTable, stride: int, order: int) -> TruncatedSeries:
-    """Series with table[n] at exponent stride*n, zero elsewhere."""
+def series_from_counts(counts: tuple[int, ...], stride: int, order: int) -> TruncatedSeries:
+    """Series with counts[n] at exponent stride*n, zero elsewhere."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     need = order // stride
-    if table.max_n < need:
+    if len(counts) - 1 < need:
         raise ValueError(
-            f"table covers n <= {table.max_n} but order {order} needs n <= {need}"
+            f"table covers n <= {len(counts) - 1} but order {order} needs n <= {need}"
         )
     coeffs = [0] * (order + 1)
     for n in range(need + 1):
-        coeffs[stride * n] = table.rows[n]
+        coeffs[stride * n] = counts[n]
     return TruncatedSeries(coeffs, order)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 import time
 from copy import deepcopy
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, NamedTuple
 
 from . import bijection, enumeration, series
@@ -71,20 +71,19 @@ def _triangular(m: int) -> int:
     return m * (m + 1) // 2
 
 
-def _first_counterexample(params: dict, *phases, per_case: int = 1):
-    """Run the phases in order and stop at the first counterexample.
+def _first_counterexample(params: dict, items, law, per_case: int = 1):
+    """Run law over the cases in items in order and stop at the first counterexample.
 
-    A phase is a pair (cases, law): law(case) returns a counterexample
-    payload, or None when the case holds. Every case run counts per_case
-    cases, the failing one included. Returns (params, cases, payload).
+    law(case) returns a counterexample payload, or None when the case
+    holds. Every case run counts per_case cases, the failing one included.
+    Returns (params, cases, payload).
     """
     cases = 0
-    for items, law in phases:
-        for case in items:
-            cases += per_case
-            payload = law(case)
-            if payload is not None:
-                return params, cases, payload
+    for case in items:
+        cases += per_case
+        payload = law(case)
+        if payload is not None:
+            return params, cases, payload
     return params, cases, None
 
 
@@ -254,7 +253,7 @@ def _check_prop34(b: SweepBounds):
         for n in range(b.max_weight + 1)
         if n < _triangular(m) or (n - _triangular(m)) % 4
     )
-    return _first_counterexample(params, (on_congruence, law), (off_congruence, law))
+    return _first_counterexample(params, chain(on_congruence, off_congruence), law)
 
 
 # lem4.1 walks the partitions up to this weight. The corner hook h(1,1) is
@@ -288,7 +287,7 @@ def _check_prop46(b: SweepBounds):
     def counts():
         for moduli in _SIM_PAIRS:
             halves = [t // 2 for t in moduli]
-            ordinary = enumeration.sim_core_count_table(halves, b.max_weight // 4).rows
+            ordinary = enumeration.sim_core_count_table(halves, b.max_weight // 4)
             by_class = enumeration.tabulate(
                 enumeration.add_hook, moduli, b.max_weight, key=enumeration.bead_class
             )
@@ -296,7 +295,7 @@ def _check_prop46(b: SweepBounds):
                 for n, count in enumerate(by_class.get(m, (0,) * (b.max_weight + 1))):
                     yield moduli, m, n, count, ordinary
 
-    return _first_counterexample(params, (counts(), law))
+    return _first_counterexample(params, counts(), law)
 
 
 def _check_cor48(b: SweepBounds):
@@ -324,7 +323,7 @@ def _check_cor48(b: SweepBounds):
                     total = sum(by_class.get(m, ())[: bound + _triangular(m) + 1])
                     yield ts, m, total, closed_form(n)
 
-    return _first_counterexample({"n_range": [1, 4], "max_class": max_class}, (cases(), law))
+    return _first_counterexample({"n_range": [1, 4], "max_class": max_class}, cases(), law)
 
 
 class _Series(NamedTuple):
@@ -348,23 +347,23 @@ class _Series(NamedTuple):
 
         params = deepcopy({**self.over, "order": b.order})
         xs = next(iter(self.over.values()), [None])
-        return _first_counterexample(params, (xs, law), per_case=b.order + 1)
+        return _first_counterexample(params, xs, law, per_case=b.order + 1)
 
 
-def _quadrupled(table, order: int):
-    return series.series_from_counts(table, 4, order) * series.triangular_series(order)
+def _quadrupled(counts, order: int):
+    return series.series_from_counts(counts, 4, order) * series.triangular_series(order)
 
 
 _TAGS = {"moduli": "t", "pairs": "ts"}
 _SERIES = {
     "eq1.1": _Series(
         "t-core counting series equals its product expansion", {"moduli": [2, 3, 5]},
-        lambda t, n: series.series_from_counts(enumeration.core_count_table(t, n), 1, n),
+        lambda t, n: series.series_from_counts(enumeration.sim_core_count_table((t,), n), 1, n),
         lambda t, n: series.core_product_series(t, n),
     ),
     "eq1.2": _Series(
         "self-conjugate even-core series equals its product expansion", {"moduli": [1, 2, 3]},
-        lambda t, n: series.series_from_counts(enumeration.sc_core_count_table(2 * t, n), 1, n),
+        lambda t, n: series.series_from_counts(enumeration.sc_sim_core_count_table((2 * t,), n), 1, n),
         lambda t, n: series.sc_even_core_product_series(t, n),
     ),
     "gauss": _Series(
@@ -386,8 +385,8 @@ _SERIES = {
     ),
     "cor1.5": _Series(
         "self-conjugate 2t-core series factorization", {"moduli": [2, 3]},
-        lambda t, n: series.series_from_counts(enumeration.sc_core_count_table(2 * t, n), 1, n),
-        lambda t, n: _quadrupled(enumeration.core_count_table(t, n // 4), n),
+        lambda t, n: series.series_from_counts(enumeration.sc_sim_core_count_table((2 * t,), n), 1, n),
+        lambda t, n: _quadrupled(enumeration.sim_core_count_table((t,), n // 4), n),
     ),
 }
 
@@ -417,7 +416,7 @@ def _check_ringlaws(b: SweepBounds):
     triples = ((rand_series(), rand_series(), rand_series()) for _ in range(trials))
     cases = ((name, holds, xyz) for xyz in triples for name, holds in _RING_LAWS)
     params = {"order": order, "trials": trials, "seed": b.seed}
-    return _first_counterexample(params, (cases, law))
+    return _first_counterexample(params, cases, law)
 
 
 # A check is a function of the bounds returning (params, cases, counterexample),

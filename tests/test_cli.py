@@ -190,7 +190,7 @@ class TestCount:
         code, out, _ = run(capsys, "series", "--kind", "core_gf", "--t", "99999999999", "--order", "10")
         assert time.perf_counter() - start < 1.0
         assert code == 0
-        assert json.loads(out)["coefficients"] == list(partition_count_table(10).rows)
+        assert json.loads(out)["coefficients"] == list(partition_count_table(10))
 
     def test_missing_t_rejected(self, capsys):
         code, _, err = run(capsys, "count", "--family", "core", "--max", "5")
@@ -255,6 +255,25 @@ class TestCount:
         cli._admit("--max", 1, partition_count_table, 2, "over")  # p(0) + p(1) == 2
         with pytest.raises(cli.UsageError, match="^--max 1 over; the largest --max admitted is 0$"):
             cli._admit("--max", 1, partition_count_table, 1, "over")
+
+    @pytest.mark.parametrize("family", tuple(cli._FAMILIES))
+    def test_json_names_the_family_and_the_flags_it_reads(self, capsys, family):
+        reads = cli._FAMILIES[family][0]
+        given = [tok for flag in reads for tok in (flag, _PARAMS["--family"][flag])]
+        code, out, _ = run(capsys, "count", "--family", family, *given, "--max", "6")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["family"] == family
+        assert obj["params"] == {flag[2:]: _PARSED[flag] for flag in reads}
+        assert [n for n, _ in obj["rows"]] == list(range(7))
+
+    @pytest.mark.parametrize("family, csv", [
+        (["p", "--max", "3"], "n,count\n0,1\n1,1\n2,2\n3,3\n"),
+        (["sc", "--max", "9"], "n,count\n0,1\n1,1\n2,0\n3,1\n4,1\n5,1\n6,1\n7,1\n8,2\n9,2\n"),
+    ])
+    def test_csv_is_a_header_and_one_row_per_weight(self, capsys, family, csv):
+        code, out, _ = run(capsys, "count", "--family", *family, "--format", "csv")
+        assert (code, out) == (0, csv)
 
     def test_under_budget_still_counts(self, capsys):
         code, out, _ = run(capsys, "count", "--family", "core", "--t", "3", "--max", "40")
@@ -571,6 +590,8 @@ class TestParser:
 # Every parameter flag of the command: a family or kind needs each one it reads
 # and refuses each other one.
 _PARAMS = {"--family": {"--t": "5", "--ts": "4,6", "--m": "0"}, "--kind": {"--t": "5"}}
+# The --family values above as count's JSON params give them.
+_PARSED = {"--t": 5, "--ts": [4, 6], "--m": 0}
 _READS = [
     ("count", "--family", "p", ()),
     ("count", "--family", "sc", ()),

@@ -11,7 +11,7 @@ from scpartitions import (
     bead_class,
     catalan,
     classify,
-    core_count_table,
+    cli,
     core_product_series,
     count_sc_sim_core_m,
     distinct_odd_decompositions,
@@ -19,7 +19,6 @@ from scpartitions import (
     partition_count,
     partition_count_table,
     partitions_of,
-    sc_core_count_table,
     sc_count_table,
     sc_even_core_product_series,
     sc_sim_core_count_table,
@@ -95,14 +94,14 @@ class TestPartitionCount:
         product = TruncatedSeries.one(2000)
         for n in range(1, 2001):
             product = product.times_geometric(n)
-        assert partition_count_table(2000).rows == product.coeffs
+        assert partition_count_table(2000) == product.coeffs
         assert partition_count(1000) == 24061467864032622473692149727991
         assert partition_count(2000) == 4720819175619413888601432406799959512200344166
 
     def test_a_table_below_the_memo_is_a_prefix(self):
         partition_count(50)
-        assert partition_count_table(5).rows == (1, 1, 2, 3, 5, 7)
-        assert partition_count_table(0).rows == (1,)
+        assert partition_count_table(5) == (1, 1, 2, 3, 5, 7)
+        assert partition_count_table(0) == (1,)
 
 
 class TestSelfConjugateOf:
@@ -170,7 +169,7 @@ class TestSurplusTable:
             rows = tabulate(add_hook, (n + 1,), n, key=bead_class)
             assert {_class_index(s): row for s, row in table.items()} == rows, n
             assert all(any(row) for row in table.values())
-            assert tuple(map(sum, zip(*table.values()))) == sc_count_table(n).rows
+            assert tuple(map(sum, zip(*table.values()))) == sc_count_table(n)
 
     def test_examples(self):
         assert sc_surplus_table(0) == {0: (1,)}
@@ -217,27 +216,27 @@ class TestClassCounts:
 
 class TestCoreCounts:
     def test_examples(self):
-        assert core_count_table(3, 2).rows[2] == 2
-        assert core_count_table(7, 0).rows[0] == 1
-        assert core_count_table(2, 2).rows[2] == 0
+        assert sim_core_count_table((3,), 2)[2] == 2
+        assert sim_core_count_table((7,), 0)[0] == 1
+        assert sim_core_count_table((2,), 2)[2] == 0
 
     def test_table_matches_pointwise(self):
-        table = core_count_table(3, 12)
-        assert list(table.rows) == [
+        table = sim_core_count_table((3,), 12)
+        assert list(table) == [
             sum(1 for p in partitions_of(n) if p.is_simultaneous_core((3,))) for n in range(13)
         ]
 
     def test_two_core_counts_are_staircase_indicator(self):
         # 2-cores are exactly the staircases, one per triangular weight
-        table = core_count_table(2, 21)
+        table = sim_core_count_table((2,), 21)
         triangulars = {k * (k + 1) // 2 for k in range(7)}
-        assert list(table.rows) == [1 if n in triangulars else 0 for n in range(22)]
+        assert list(table) == [1 if n in triangulars else 0 for n in range(22)]
 
 
 class TestTabulate:
     def test_one_sweep_counts_every_moduli_set(self):
         for ts in [(2,), (3,), (2, 3), (3, 4)]:
-            assert tabulate(add_row, ts, 12)[None] == sim_core_count_table(ts, 12).rows
+            assert tabulate(add_row, ts, 12)[None] == sim_core_count_table(ts, 12)
 
     def test_rows_match_brute_force_over_any_stream(self):
         rows = {ts: tabulate(add_hook, ts, 16)[None] for ts in [(4,), (4, 6)]}
@@ -245,13 +244,11 @@ class TestTabulate:
             scs = list(self_conjugate_of(n))
             assert rows[(4,)][n] == sum(1 for sc in scs if sc.is_simultaneous_core((4,)))
             assert rows[(4, 6)][n] == sum(1 for sc in scs if sc.is_simultaneous_core((4, 6)))
-        assert rows[(4, 6)] == sc_sim_core_count_table((4, 6), 16).rows
+        assert rows[(4, 6)] == sc_sim_core_count_table((4, 6), 16)
 
     def test_rows_are_tuples_indexed_by_weight(self):
         assert tabulate(add_row, (5,), 4) == {None: (1, 1, 2, 3, 5)}
-        table = core_count_table(5, 4)
-        assert table.rows == (1, 1, 2, 3, 5)
-        assert table.max_n == 4
+        assert sim_core_count_table((5,), 4) == (1, 1, 2, 3, 5)
 
     @pytest.mark.parametrize("core_sets", [(), (3, 0), (-1,)])
     def test_bad_moduli_rejected(self, core_sets):
@@ -277,7 +274,7 @@ class TestTabulate:
         assert set(rows) == {0, 1, 2, 3, 4, 5, 6, 7, 8}
         for m, row in rows.items():
             assert row == sc_cores_by_brute_force((41,), 40, m=m), m
-        assert tuple(map(sum, zip(*rows.values()))) == sc_count_table(40).rows
+        assert tuple(map(sum, zip(*rows.values()))) == sc_count_table(40)
 
 
 # Moduli sets every table is checked on against brute force: single moduli,
@@ -290,13 +287,13 @@ ORDINARY_MAX, SC_MAX = 24, 40
 class TestSearchAgainstBruteForce:
     @pytest.mark.parametrize("ts", ORACLE_SETS + [(25, 31)], ids=str)
     def test_sim_core_count_table(self, ts):
-        assert sim_core_count_table(ts, ORDINARY_MAX).rows == cores_by_brute_force(ts, ORDINARY_MAX)
+        assert sim_core_count_table(ts, ORDINARY_MAX) == cores_by_brute_force(ts, ORDINARY_MAX)
 
     def test_core_count_table_and_tables(self):
         singles = sorted({t for ts in ORACLE_SETS for t in ts} | {25})
         for t in singles:
             expected = cores_by_brute_force((t,), ORDINARY_MAX)
-            assert core_count_table(t, ORDINARY_MAX).rows == expected
+            assert sim_core_count_table((t,), ORDINARY_MAX) == expected
             assert tabulate(add_row, (t,), ORDINARY_MAX) == {None: expected}
 
     def test_tabulate_on_every_set(self):
@@ -306,23 +303,23 @@ class TestSearchAgainstBruteForce:
 
     @pytest.mark.parametrize("ts", ORACLE_SETS + [(41, 43)], ids=str)
     def test_sc_sim_core_count_table(self, ts):
-        assert sc_sim_core_count_table(ts, SC_MAX).rows == sc_cores_by_brute_force(ts, SC_MAX)
+        assert sc_sim_core_count_table(ts, SC_MAX) == sc_cores_by_brute_force(ts, SC_MAX)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6, 7, 10, 41])
     def test_sc_core_count_table(self, t):
-        assert sc_core_count_table(t, SC_MAX).rows == sc_cores_by_brute_force((t,), SC_MAX)
+        assert sc_sim_core_count_table((t,), SC_MAX) == sc_cores_by_brute_force((t,), SC_MAX)
 
     @pytest.mark.parametrize(
         "ts", [tuple(2 * t for t in ts) for ts in ORACLE_SETS] + [(42,)], ids=str
     )
     def test_count_sc_sim_core_m(self, ts):
         for m in range(4):
-            got = count_sc_sim_core_m(ts, m, SC_MAX).rows
+            got = count_sc_sim_core_m(ts, m, SC_MAX)
             assert got == sc_cores_by_brute_force(ts, SC_MAX, m=m), m
 
     @pytest.mark.parametrize("t", [3, 5])
     def test_core_table_matches_product_at_order_200(self, t):
-        assert list(core_count_table(t, 200).rows) == list(core_product_series(t, 200).coeffs)
+        assert list(sim_core_count_table((t,), 200)) == list(core_product_series(t, 200).coeffs)
 
 
 def sim_cores(ts, max_n):
@@ -338,15 +335,15 @@ def sim_cores(ts, max_n):
 class TestSimultaneousCores:
     def test_pair_23(self):
         assert sim_cores((2, 3), 10) == [(), (1,)]
-        assert sum(sim_core_count_table((2, 3), 10).rows) == 2
+        assert sum(sim_core_count_table((2, 3), 10)) == 2
 
     def test_pair_34(self):
         got = sim_cores((3, 4), 5)
         assert got == [(), (1,), (2,), (1, 1), (3, 1, 1)]
-        assert sum(sim_core_count_table((3, 4), 5).rows) == len(got)
+        assert sum(sim_core_count_table((3, 4), 5)) == len(got)
 
     def test_triple_345(self):
-        assert sum(sim_core_count_table((3, 4, 5), 6).rows) == 4
+        assert sum(sim_core_count_table((3, 4, 5), 6)) == 4
         assert len(sim_cores((3, 4, 5), 6)) == 4
 
     def test_bounds(self):
@@ -378,7 +375,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("pair", [(2, 3), (3, 4), (3, 5)])
     def test_anderson_matches_enumeration(self, pair):
         bound = sufficient_core_bound(pair)
-        assert sum(sim_core_count_table(pair, bound).rows) == anderson_count(*pair)
+        assert sum(sim_core_count_table(pair, bound)) == anderson_count(*pair)
 
     def test_wang_examples(self):
         assert wang_count(3, 1) == 4 == motzkin(3)
@@ -394,7 +391,7 @@ class TestClosedForms:
         for n in (1, 2, 3):
             ts = (n, n + 1, n + 2)
             bound = sufficient_core_bound(ts)
-            assert sum(sim_core_count_table(ts, bound).rows) == wang_count(n, 1)
+            assert sum(sim_core_count_table(ts, bound)) == wang_count(n, 1)
 
     def test_catalan_against_recurrence(self):
         assert [catalan(n) for n in range(6)] == [1, 1, 2, 5, 14, 42]
@@ -410,24 +407,24 @@ class TestClosedForms:
 class TestScSimCoreClassCounts:
     def test_total_is_catalan_two(self):
         table = count_sc_sim_core_m((4, 6), 0, 4 * sufficient_core_bound((2, 3)))
-        assert sum(table.rows) == 2
+        assert sum(table) == 2
 
     def test_zero_off_congruence(self):
         table = count_sc_sim_core_m((4, 6), 1, 20)
-        for n, c in enumerate(table.rows):
+        for n, c in enumerate(table):
             if n % 4 != 1:
                 assert c == 0
 
     def test_total_is_catalan_three(self):
         bound = 4 * sufficient_core_bound((3, 4))
         table = count_sc_sim_core_m((6, 8), 0, bound)
-        assert sum(table.rows) == 5
+        assert sum(table) == 5
 
     def test_class_independence(self):
         # each class carries the same total, shifted by its triangular number
         for m in (0, 1, 2, 3):
             bound = 4 * sufficient_core_bound((2, 3)) + m * (m + 1) // 2
-            assert sum(count_sc_sim_core_m((4, 6), m, bound).rows) == 2
+            assert sum(count_sc_sim_core_m((4, 6), m, bound)) == 2
 
     def test_odd_moduli_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -435,34 +432,28 @@ class TestScSimCoreClassCounts:
 
 
 class TestCountTable:
-    def test_csv_golden(self):
-        table = partition_count_table(3)
-        assert table.to_csv_text() == "n,count\n0,1\n1,1\n2,2\n3,3\n"
+    # A table is a tuple; `scpart count` writes it as CSV or JSON.
+    def test_csv_golden(self, capsys):
+        assert cli.main(["count", "--family", "p", "--max", "3", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "n,count\n0,1\n1,1\n2,2\n3,3\n"
 
-    def test_json_round_trip_shape(self):
-        table = sc_core_count_table(4, 5)
-        obj = json.loads(json.dumps(table.to_json_dict(), sort_keys=True))
+    def test_json_round_trip_shape(self, capsys):
+        assert cli.main(["count", "--family", "sc-core", "--t", "4", "--max", "5"]) == 0
+        obj = json.loads(capsys.readouterr().out)
         assert obj["family"] == "sc-core"
         assert obj["params"] == {"t": 4}
-        assert obj["rows"] == [[n, table.rows[n]] for n in range(6)]
-
-    def test_max_n_and_frozen_fields(self):
-        table = partition_count_table(3)
-        assert table.max_n == 3
-        for field in table._fields:
-            with pytest.raises(AttributeError):
-                setattr(table, field, getattr(table, field))
+        assert obj["rows"] == [[n, c] for n, c in enumerate(sc_sim_core_count_table((4,), 5))]
 
     def test_sc_table_matches_generator(self):
         table = sc_count_table(20)
-        assert list(table.rows) == [
+        assert list(table) == [
             sum(1 for _ in self_conjugate_of(n)) for n in range(21)
         ]
 
     def test_sc_table_matches_decomposition_walk(self):
-        assert sc_count_table(40).rows == sc_counts_by_decomposition(40)
+        assert sc_count_table(40) == sc_counts_by_decomposition(40)
 
     def test_sc_table_matches_odd_part_product_to_400(self):
         # With 4t above the order the product has no (1 - q^(4nt)) factor:
         # it is prod (1 + q^(2k-1)), built factor by factor in the series layer.
-        assert sc_count_table(400).rows == sc_even_core_product_series(101, 400).coeffs
+        assert sc_count_table(400) == sc_even_core_product_series(101, 400).coeffs

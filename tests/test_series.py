@@ -19,12 +19,10 @@ from scpartitions import (
     IdentityCheck,
     TruncatedSeries,
     check_identity,
-    core_count_table,
     core_product_series,
     gauss_product_series,
     partition_count_table,
     partitions_of,
-    sc_core_count_table,
     sc_count_table,
     sc_even_core_product_series,
     sc_sim_core_count_table,
@@ -368,7 +366,7 @@ class TestProductForms:
     def test_core_gf_matches_enumeration(self):
         for t in (2, 3, 5):
             prod = core_product_series(t, 30)
-            table = core_count_table(t, 30)
+            table = sim_core_count_table((t,), 30)
             assert check_identity(series_from_counts(table, 1, 30), prod).equal
 
     def test_core_gf_pointwise(self):
@@ -379,7 +377,7 @@ class TestProductForms:
     def test_sc_even_core_gf_matches_enumeration(self):
         for t in (1, 2, 3):
             prod = sc_even_core_product_series(t, 30)
-            table = sc_core_count_table(2 * t, 30)
+            table = sc_sim_core_count_table((2 * t,), 30)
             assert check_identity(series_from_counts(table, 1, 30), prod).equal
 
     def test_sc_two_core_is_staircase_indicator(self):
@@ -401,9 +399,9 @@ class TestIdentities:
     @pytest.mark.parametrize("t", [2, 3])
     def test_sc_core_series_factor(self, t):
         order = 24
-        lhs = series_from_counts(sc_core_count_table(2 * t, order), 1, order)
+        lhs = series_from_counts(sc_sim_core_count_table((2 * t,), order), 1, order)
         rhs = series_from_counts(
-            core_count_table(t, order // 4), 4, order
+            sim_core_count_table((t,), order // 4), 4, order
         ) * triangular_series(order)
         assert check_identity(lhs, rhs).equal
 

@@ -26,7 +26,7 @@ def test_no_assert_statements():
     assert found == []
 
 
-# Exported but not yet called by the library: ROADMAP item 3 adds the
+# Exported but not yet called by the library: ROADMAP item 4 adds the
 # verify check that compares them with the simultaneous-core tables.
 PENDING_PUBLIC = {"anderson_count", "wang_count"}
 
