@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import bijection, enumeration, verify
 from . import series as series_mod
-from .partitions import Partition, PartitionError, parse_partition, sc_from_diagonal
+from .partitions import Partition, PartitionError, parse_ints, parse_partition, sc_from_diagonal
 
 OUT_DIR_ENV = "SCPARTITIONS_OUT_DIR"
 
@@ -52,16 +52,10 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    """Comma-separated integers; a blank text is the empty list, a blank token an error."""
-    if not text.strip():
-        return []
-    values = []
-    for i, tok in enumerate(text.split(",")):
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise UsageError(f"{flag} token {i} is not an integer: {tok.strip()!r}") from None
-    return values
+    try:
+        return parse_ints(text)
+    except PartitionError as exc:
+        raise UsageError(f"{flag} {exc}") from None
 
 
 def _nonneg(value: int, flag: str) -> int:
@@ -264,18 +258,18 @@ def _cmd_verify(args) -> int:
     ids = verify.all_ids() if args.all else [args.theorem]
     bounds = {field: _nonneg(getattr(args, field), flag) for flag, field, _ in _BOUND_FLAGS}
     _admit_order("--order", bounds["order"])
-    budget, copies = ROUND_TRIP_BUDGET, bounds["max_class"] + 1
+    m = bounds["max_class"]
+    if m > CLASS_LIMIT:
+        raise UsageError(f"--max-m {m} would tabulate self-conjugate partitions to weight "
+                         f"{32 + m * (m + 1) // 2}, past {ORDER_LIMIT}; "
+                         f"the largest --max-m admitted is {CLASS_LIMIT}")
+    budget, copies = ROUND_TRIP_BUDGET, m + 1
     overrun = f"would sweep more than {budget} self-conjugate partitions"
     _admit("--max-weight", bounds["max_weight"], enumeration.sc_count_table, budget, overrun)
     # copies * total > budget exactly when the integer total > budget // copies.
     overrun = f"with --max-m {copies - 1} would round-trip more than {budget} partition-class pairs"
     _admit("--max-mu", bounds["max_mu_weight"], enumeration.partition_count_table,
            budget // copies, overrun)
-    m = bounds["max_class"]
-    if m > CLASS_LIMIT:
-        raise UsageError(f"--max-m {m} would tabulate self-conjugate partitions to weight "
-                         f"{32 + m * (m + 1) // 2}, past {ORDER_LIMIT}; "
-                         f"the largest --max-m admitted is {CLASS_LIMIT}")
     reports = verify.run_checks(ids, seed=args.seed, **bounds)
     for report in reports:
         sys.stderr.write(report.summary_line() + "\n")

@@ -9,9 +9,9 @@ one first row or one principal hook at a time), keyed by class for the
 class-m tables, so its cost follows the number of cores, not of
 partitions. Self-conjugate partitions are counted without a walk: a 0/1
 knapsack over odd diagonal hooks gives their totals, and one that also
-tracks the surplus of hooks 1 over 3 mod 4 gives them by class. Brute
-force (every partition of n, then the core test) survives as the tests'
-oracle.
+tracks the surplus of hooks 1 over 3 mod 4 gives them keyed by class
+(sc_class_table). Brute force (every partition of n, then the core test)
+survives as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
     "motzkin",
     "partition_count_table",
     "sc_count_table",
-    "sc_surplus_table",
+    "sc_class_table",
     "sc_sim_core_count_table",
     "sim_core_count_table",
 ]
@@ -369,15 +369,15 @@ def sc_count_table(max_n: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def sc_surplus_table(max_n: int) -> dict[int, tuple[int, ...]]:
-    """Self-conjugate partition counts by weight and diagonal-hook surplus.
+def sc_class_table(max_n: int) -> dict[int, tuple[int, ...]]:
+    """Self-conjugate partition counts by weight and class.
 
-    Returns {s: row}, where row[n] counts the sets of distinct odd diagonal
-    hooks of weight n with s more hooks congruent to 1 than to 3 mod 4 (the
-    partition's class is bijection._class_index(s)). Surplus s needs |s|
-    hooks of one residue, of weight at least |s|(2|s| - 1), so |s| <=
-    sqrt(max_n / 2) + 1. A 0/1 knapsack: one O(max_n) pass per odd hook and
-    surplus; rows that stay zero are left out.
+    Returns {m: row}, where row[n] counts the self-conjugate partitions of
+    weight n in class m, keyed as tabulate(..., key=bead_class) keys its
+    rows. A 0/1 knapsack tracks the surplus s of diagonal hooks 1 over 3
+    mod 4, which names the class. Surplus s needs |s| hooks of one residue,
+    of weight at least |s|(2|s| - 1), so |s| <= sqrt(max_n / 2) + 1: one
+    O(max_n) pass per odd hook and surplus. Rows that stay zero are left out.
     """
     _check_nonneg(max_n, "max_n")
     reach = math.isqrt(max_n // 2) + 1
@@ -388,7 +388,7 @@ def sc_surplus_table(max_n: int) -> dict[int, tuple[int, ...]]:
         # Sources in the order that updates each row before it is read: each set takes h once.
         for s in range(step * (reach - 1), -step * (reach + 1), -step):
             rows[s + step][h:] = map(operator.add, rows[s + step][h:], rows[s])
-    return {s: tuple(row) for s, row in rows.items() if any(row)}
+    return {_class_index(s): tuple(row) for s, row in rows.items() if any(row)}
 
 
 def sc_sim_core_count_table(ts: Iterable[int], max_n: int) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator
 __all__ = [
     "Partition",
     "PartitionError",
+    "parse_ints",
     "parse_partition",
     "sc_from_diagonal",
     "beta_from_diagonal",
@@ -240,19 +241,22 @@ class Partition:
         return True
 
 
+def parse_ints(text: str) -> list[int]:
+    """Comma-separated integers; a blank text is the empty list, a blank token an error."""
+    if not text.strip():
+        return []
+    values = []
+    for i, token in enumerate(text.split(",")):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise PartitionError(f"token {i} is not an integer: {token.strip()!r}") from None
+    return values
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the wire form: comma-separated decreasing parts, '' for empty."""
-    text = text.strip()
-    if not text:
-        return Partition()
-    parts = []
-    for i, token in enumerate(text.split(",")):
-        token = token.strip()
-        try:
-            parts.append(int(token))
-        except ValueError:
-            raise PartitionError(f"token {i} is not an integer: {token!r}") from None
-    return Partition(parts)
+    return Partition(parse_ints(text))
 
 
 def _validated_deltas(deltas: Iterable[int]) -> tuple[int, ...]:

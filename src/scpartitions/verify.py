@@ -8,7 +8,9 @@ Eight checks are laws about one partition: rows (_Law) of two walks
 (_walk), one over the self-conjugate partitions and their images under
 phi, one over all partitions. thm3.1 has a row in each. A walk runs
 law-major over chunks of each weight's partitions, so each row reports
-its own law time. The six series identities are rows (_Series) of one
+its own law time. prop3.4 and prop4.6 share one class-reduction law
+(_class_reduction) over class-keyed tables; cor4.8 also checks Anderson's
+and Wang's core counts. The six series identities are rows (_Series) of one
 table (_SERIES); a row's sides look their builders up when they run.
 """
 
@@ -227,33 +229,33 @@ def _cor45(sc, image, b):
             }
 
 
+def _class_reduction(case):
+    """Prop. 3.4 and 4.6's law on a case (tag, m, n, count, ordinary): class m has
+    ordinary[k] partitions of weight 4k + T(m) and none of any other weight.
+    Returns None when count agrees, else the payload under tag."""
+    tag, m, n, count, ordinary = case
+    shift = n - _triangular(m)
+    expected = ordinary[shift // 4] if shift >= 0 and shift % 4 == 0 else 0
+    if count != expected:
+        return {**tag, "m": m, "n": n, "count": count, "expected": expected}
+
+
 def _check_prop34(b: SweepBounds):
     params = {"max_k": 8, "max_class": b.max_class, "max_weight": b.max_weight}
     classes = range(b.max_class + 1)
-    # The cases read weights up to 4 * 8 + T(max_class); each surplus is one class.
-    top = max(b.max_weight, 32 + _triangular(b.max_class))
-    by_class = {
-        bijection._class_index(s): row for s, row in enumeration.sc_surplus_table(top).items()
-    }
-
-    def law(case):
-        n, m, expected = case
-        got = by_class[m][n]
-        if got != expected:
-            return {"n": n, "m": m, "count": got, "expected": expected}
-
-    on_congruence = (
-        (4 * k + _triangular(m), m, enumeration.partition_count(k))
-        for m in classes
-        for k in range(9)
-    )
+    # The cases read weights up to 4 * 8 + T(max_class).
+    by_class = enumeration.sc_class_table(max(b.max_weight, 32 + _triangular(b.max_class)))
+    ordinary = enumeration.partition_count_table(8)
+    on_congruence = ((m, 4 * k + _triangular(m)) for m in classes for k in range(9))
     off_congruence = (
-        (n, m, 0)
+        (m, n)
         for m in classes
         for n in range(b.max_weight + 1)
         if n < _triangular(m) or (n - _triangular(m)) % 4
     )
-    return _first_counterexample(params, chain(on_congruence, off_congruence), law)
+    tag = {}
+    cases = ((tag, m, n, by_class[m][n], ordinary) for m, n in chain(on_congruence, off_congruence))
+    return _first_counterexample(params, cases, _class_reduction)
 
 
 # lem4.1 walks the partitions up to this weight. The corner hook h(1,1) is
@@ -277,15 +279,9 @@ def _check_prop46(b: SweepBounds):
     max_class = min(b.max_class, 3)
     params = {"pairs": [list(p) for p in _SIM_PAIRS], "max_class": max_class, "max_weight": b.max_weight}
 
-    def law(case):
-        moduli, m, n, count, ordinary = case
-        shift = n - _triangular(m)
-        expected = ordinary[shift // 4] if shift >= 0 and shift % 4 == 0 else 0
-        if count != expected:
-            return {"ts": list(moduli), "m": m, "n": n, "count": count, "expected": expected}
-
     def counts():
         for moduli in _SIM_PAIRS:
+            tag = {"ts": list(moduli)}
             halves = [t // 2 for t in moduli]
             ordinary = enumeration.sim_core_count_table(halves, b.max_weight // 4)
             by_class = enumeration.tabulate(
@@ -293,26 +289,27 @@ def _check_prop46(b: SweepBounds):
             )
             for m in range(max_class + 1):
                 for n, count in enumerate(by_class.get(m, (0,) * (b.max_weight + 1))):
-                    yield moduli, m, n, count, ordinary
+                    yield tag, m, n, count, ordinary
 
-    return _first_counterexample(params, counts(), law)
+    return _first_counterexample(params, counts(), _class_reduction)
 
 
 def _check_cor48(b: SweepBounds):
     max_class = min(b.max_class, 3)
 
     def law(case):
-        ts, m, total, expected = case
-        if total != expected:
-            return {"ts": list(ts), "m": m, "total": total, "expected": expected}
+        ts, m, total, cores, expected = case
+        if total != expected or cores != expected:
+            return {"ts": list(ts), "m": m, "total": total, "cores": cores, "expected": expected}
 
     def cases():
-        # One search per set reaches 4 * bound + m(m+1)/2, the limit of every
-        # class m <= max_class; each class is summed to its own limit.
+        # Prop. 4.6 maps each class onto the (n, n+1)- or (n, n+1, n+2)-cores, which
+        # Anderson's and Wang's closed forms count. One search per set reaches 4 * bound
+        # + m(m+1)/2, the limit of every class m <= max_class; each is summed to its own.
         for n in range(1, 5):
-            for ts, closed_form in (
-                ((2 * n, 2 * n + 2), enumeration.catalan),
-                ((2 * n, 2 * n + 2, 2 * n + 4), enumeration.motzkin),
+            for ts, cores, closed_form in (
+                ((2 * n, 2 * n + 2), enumeration.anderson_count(n, n + 1), enumeration.catalan),
+                ((2 * n, 2 * n + 2, 2 * n + 4), enumeration.wang_count(n, 1), enumeration.motzkin),
             ):
                 bound = 4 * enumeration.sufficient_core_bound([t // 2 for t in ts])
                 by_class = enumeration.tabulate(
@@ -321,7 +318,7 @@ def _check_cor48(b: SweepBounds):
                 )
                 for m in range(max_class + 1):
                     total = sum(by_class.get(m, ())[: bound + _triangular(m) + 1])
-                    yield ts, m, total, closed_form(n)
+                    yield ts, m, total, cores, closed_form(n)
 
     return _first_counterexample({"n_range": [1, 4], "max_class": max_class}, cases(), law)
 

@@ -389,9 +389,12 @@ class TestVerify:
         with pytest.raises(cli.UsageError, match=r"; the largest --max-mu admitted is 37$"):
             cli._admit("--max-mu", 200, partition_count_table, cli.ROUND_TRIP_BUDGET // 7, overrun)
         cli._admit("--max-mu", 37, partition_count_table, cli.ROUND_TRIP_BUDGET // 7, overrun)
-        code, _, err = run(capsys, "verify", "gauss", "--max-mu", "0", "--max-m", "2000000")
-        assert code == 2
-        assert err.endswith("; the largest --max-mu admitted is none\n")
+        # An oversized --max-m is named before it shrinks the --max-mu budget.
+        for mu, m in (("0", "2000000"), ("3", "200000")):
+            code, _, err = run(capsys, "verify", "gauss", "--max-mu", mu, "--max-m", m)
+            assert code == 2
+            assert err.startswith(f"error: --max-m {m} would tabulate")
+            assert err.endswith("; the largest --max-m admitted is 62\n")
 
     @pytest.mark.parametrize("m, weight", [(63, 2048), (120, 7292), (30000, 450015032)])
     def test_class_limit_refuses_before_any_check(self, capsys, monkeypatch, m, weight):

@@ -19,18 +19,16 @@ from scpartitions import (
     partition_count,
     partition_count_table,
     partitions_of,
+    sc_class_table,
     sc_count_table,
     sc_even_core_product_series,
     sc_sim_core_count_table,
-    sc_surplus_table,
     self_conjugate_of,
     sim_core_count_table,
     sufficient_core_bound,
     tabulate,
     wang_count,
 )
-
-from scpartitions.bijection import _class_index
 
 from oracles import (
     catalan_by_recurrence,
@@ -153,34 +151,32 @@ class TestSelfConjugateOf:
 
 
 def sc_class_rows(max_n):
-    """Self-conjugate counts by class, as prop3.4 reads them: the surplus
-    knapsack, each surplus read as its class."""
-    rows = {_class_index(s): row for s, row in sc_surplus_table(max_n).items()}
+    """Self-conjugate counts by class, as prop3.4 reads them."""
+    rows = sc_class_table(max_n)
     return lambda n, m: rows.get(m, (0,) * (max_n + 1))[n]
 
 
-class TestSurplusTable:
+class TestClassTable:
     def test_classes_match_the_class_keyed_search(self):
         # Every partition of weight <= n is an (n + 1)-core, so the search
         # counts every self-conjugate partition, keyed by class. The small n
         # step the surplus bound sqrt(n/2) + 1 through its values.
         for n in (*range(13), 40):
-            table = sc_surplus_table(n)
-            rows = tabulate(add_hook, (n + 1,), n, key=bead_class)
-            assert {_class_index(s): row for s, row in table.items()} == rows, n
+            table = sc_class_table(n)
+            assert table == tabulate(add_hook, (n + 1,), n, key=bead_class), n
             assert all(any(row) for row in table.values())
             assert tuple(map(sum, zip(*table.values()))) == sc_count_table(n)
 
     def test_examples(self):
-        assert sc_surplus_table(0) == {0: (1,)}
-        # weight 4: {3, 1} has surplus 0; weight 5: {5} surplus 1
-        assert sc_surplus_table(5) == {
-            0: (1, 0, 0, 0, 1, 0), 1: (0, 1, 0, 0, 0, 1), -1: (0, 0, 0, 1, 0, 0)
+        assert sc_class_table(0) == {0: (1,)}
+        # weight 4: {3, 1} is class 0; weight 5: {5} class 1; weight 3: {3} class 2
+        assert sc_class_table(5) == {
+            0: (1, 0, 0, 0, 1, 0), 1: (0, 1, 0, 0, 0, 1), 2: (0, 0, 0, 1, 0, 0)
         }
 
     def test_negative_max_n_rejected(self):
         with pytest.raises(ValueError, match="max_n"):
-            sc_surplus_table(-1)
+            sc_class_table(-1)
 
 
 class TestClassCounts:

@@ -26,11 +26,6 @@ def test_no_assert_statements():
     assert found == []
 
 
-# Exported but not yet called by the library: ROADMAP item 4 adds the
-# verify check that compares them with the simultaneous-core tables.
-PENDING_PUBLIC = {"anderson_count", "wang_count"}
-
-
 def test_every_public_name_is_used_by_the_library():
     # A name in a module's __all__, and a public method or property of a
     # class in the package, must be loaded somewhere in the package (a call,
@@ -61,7 +56,37 @@ def test_every_public_name_is_used_by_the_library():
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
     unused = {name for name in exported | methods if name.rsplit(".", 1)[-1] not in loaded}
-    assert unused == PENDING_PUBLIC
+    assert unused == set()
+
+
+def test_verify_loads_no_private_name_of_another_module():
+    # Each decision lives in the module that owns it: verify.py reads the
+    # other package modules through their public names only.
+    path = Path(scpartitions.__file__).parent / "verify.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {source.stem for source in SOURCES}
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    assert {"bijection", "enumeration", "series"} <= imported <= modules
+    found = {
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in imported
+        and node.attr.startswith("_")
+    } | {
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is not None
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert found == set()
 
 
 # The generators that stream partitions one at a time.

@@ -191,12 +191,12 @@ DEFECT_TABLE = [
         lambda fn: _bump(fn, 17), dict(order=20),
         21, {"t": 2, "exponent": 17, "enumerated": 0, "product": 1},
     ),
-    # the second phase counts on from the first: 63 + 9 + 2 cases; surplus 1 is class 1
+    # the second phase counts on from the first: 63 + 9 + 2 cases
     (
-        "prop3.4", (verify.enumeration, "sc_surplus_table"),
+        "prop3.4", (verify.enumeration, "sc_class_table"),
         lambda fn: lambda *args: {
-            s: tuple(c + (n == 2 and s == 1) for n, c in enumerate(row))
-            for s, row in fn(*args).items()
+            m: tuple(c + (n == 2 and m == 1) for n, c in enumerate(row))
+            for m, row in fn(*args).items()
         },
         dict(max_weight=12),
         74, {"n": 2, "m": 1, "count": 1, "expected": 0},
@@ -265,7 +265,7 @@ DEFECT_TABLE = [
     (
         "cor4.8", (verify.enumeration, "catalan"),
         lambda fn: lambda n: fn(n) + (n == 2), dict(max_class=1),
-        5, {"ts": [4, 6], "m": 0, "total": 2, "expected": 3},
+        5, {"ts": [4, 6], "m": 0, "total": 2, "cores": 2, "expected": 3},
     ),
     (
         "eq1.2", (verify.series, "sc_even_core_product_series"),
@@ -299,6 +299,18 @@ DEFECT_TABLE = [
         1, {"law": "commutativity", "x": [-2, 9, 8], "y": [-5, 2, 6], "z": [9, -7, -9]},
     ),
 ]
+
+
+def test_cor48_checks_the_closed_form_core_counts(monkeypatch):
+    # Wang's count off by one at n = 3: the class totals still match Motzkin's
+    # numbers, so only the comparison with the closed form can fail. Two sets
+    # of two classes at n = 1, 2, then the pair and the first triple class at 3.
+    wang = verify.enumeration.wang_count
+    monkeypatch.setattr(verify.enumeration, "wang_count", lambda n, d: wang(n, d) + (n == 3))
+    report = verify.run_check("cor4.8", max_class=1)
+    assert not report.passed
+    assert report.cases == 11
+    assert report.counterexample == {"ts": [6, 8, 10], "m": 0, "total": 4, "cores": 5, "expected": 4}
 
 
 def test_defect_table_covers_every_check():
