@@ -156,7 +156,7 @@ def sc_class_rows(max_n):
     return lambda n, m: rows.get(m, (0,) * (max_n + 1))[n]
 
 
-class TestClassTable:
+class TestSurplusTable:
     def test_classes_match_the_class_keyed_search(self):
         # Every partition of weight <= n is an (n + 1)-core, so the search
         # counts every self-conjugate partition, keyed by class. The small n
