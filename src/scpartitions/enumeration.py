@@ -5,11 +5,11 @@ reverse lexicographic order, self-conjugate partitions in decreasing
 lexicographic order of their diagonal hook tuples. Count tables are
 tuples indexed by weight. A core table is one exhaustive depth-first
 search over the cores of one moduli set (tabulate, growing a partition
-one first row or one principal hook at a time), keyed by class for the
-class-m tables, so its cost follows the number of cores, not of
-partitions. Self-conjugate partitions are counted without a walk: a 0/1
-knapsack over odd diagonal hooks gives their totals, and one that also
-tracks the surplus of hooks 1 over 3 mod 4 gives them keyed by class
+one first row or one principal hook at a time, each node carrying its
+class), so its cost follows the number of cores, not of partitions.
+Self-conjugate partitions are counted without a walk: a 0/1 knapsack
+over odd diagonal hooks gives their totals, and one that also tracks the
+surplus of hooks 1 over 3 mod 4 gives them keyed by class
 (sc_class_table). Brute force (every partition of n, then the core test)
 survives as the tests' oracle.
 """
@@ -33,7 +33,6 @@ __all__ = [
     "tabulate",
     "add_row",
     "add_hook",
-    "bead_class",
     "sufficient_core_bound",
     "count_sc_sim_core_m",
     "anderson_count",
@@ -182,21 +181,21 @@ def tabulate(
     grow: Callable[[tuple, int, tuple], Iterable[tuple]],
     moduli: Iterable[int],
     max_n: int,
-    key: Callable[[tuple], object] | None = None,
-) -> dict:
-    """Per-weight counts of the moduli-cores, by a depth-first search over cores.
+) -> dict[int, tuple[int, ...]]:
+    """Per-weight counts of the moduli-cores by class, by a depth-first search over cores.
 
-    A node is (top, beads): the first-column hook set of a partition and its
-    largest element, -1 for the empty partition at the root. grow(node, room,
-    moduli) yields, as (child, gain), the children of a core that are cores
-    and weigh at most room more. A partition is the child of its reduction
-    (itself less the outer layer grow adds), and the reduction of a core is
-    a core (see add_row, add_hook), so each core is reached once. Recursion
-    is as deep as the partition has rows or diagonal hooks.
+    A node is (top, beads, surplus): the first-column hook set of a
+    partition, its largest element (-1 for the empty partition at the root)
+    and the surplus of diagonal hooks 1 over 3 mod 4, which names the class.
+    grow(node, room, moduli) yields, as (child, gain), the children of a
+    core that are cores and weigh at most room more. A partition is the
+    child of its reduction (itself less the outer layer grow adds), and the
+    reduction of a core is a core (see add_row, add_hook), so each core is
+    reached once. Recursion is as deep as the partition has rows or
+    diagonal hooks.
 
-    Returns {key(node): row}, where row[n] counts the cores of weight n with
-    that key; key=None puts every core under None. The key sorts the counts
-    and never prunes the search.
+    Returns {m: row}, where row[n] counts the cores of weight n in class m;
+    add_row keeps the root's surplus, so its cores all fall under class 0.
     """
     # Moduli ascending, so that moduli[0] is the smallest (see add_row).
     moduli = tuple(sorted(set(check_moduli(moduli))))
@@ -204,12 +203,12 @@ def tabulate(
     rows = defaultdict(lambda: [0] * (max_n + 1))
 
     def visit(node: tuple, weight: int) -> None:
-        rows[None if key is None else key(node)][weight] += 1
+        rows[node[2]][weight] += 1
         for child, gain in grow(node, max_n - weight, moduli):
             visit(child, weight + gain)
 
-    visit((-1, frozenset()), 0)
-    return {k: tuple(row) for k, row in rows.items()}
+    visit((-1, frozenset(), 0), 0)
+    return {_class_index(s): tuple(row) for s, row in rows.items()}
 
 
 def add_row(node: tuple, room: int, moduli: tuple) -> Iterator[tuple]:
@@ -220,13 +219,13 @@ def add_row(node: tuple, room: int, moduli: tuple) -> Iterator[tuple]:
     new first row a >= the old one keeps the beads and adds b = a +
     len(beads) above them; by the abacus criterion the child is a t-core
     iff b < t or b - t is a bead, and either forces b <= top + t. A child
-    is tested in O(number of moduli).
+    is tested in O(number of moduli) and keeps its parent's surplus.
     """
-    top, beads = node
+    top, beads, surplus = node
     ell = len(beads)
     for b in range(max(top + 1, 1), min(room + ell, top + moduli[0]) + 1):
         if all(b < t or b - t in beads for t in moduli):
-            yield (b, beads | {b}), b - ell
+            yield (b, beads | {b}, surplus), b - ell
 
 
 def add_hook(node: tuple, room: int, moduli: tuple) -> Iterator[tuple]:
@@ -243,25 +242,15 @@ def add_hook(node: tuple, room: int, moduli: tuple) -> Iterator[tuple]:
     partition with a beads has x as a bead iff 2a - 1 - x = delta - x is
     not one, so the second condition implies the first; it forces delta <=
     top + 2t. A padded bead y is y < pad or y - pad in beads, so a rejected
-    child costs O(number of moduli).
+    child costs O(number of moduli). The other diagonal hooks are kept, so
+    the surplus moves by one, up if delta is 1 mod 4 and down otherwise.
     """
-    top, beads = node
+    top, beads, surplus = node
     for delta in range(top + 2, min(room, top + 2 * moduli[0]) + 1, 2):
         pad = (delta - top) // 2
         if all(delta < t or 0 < delta - t < pad or delta - t - pad in beads for t in moduli):
             child = frozenset(q + pad for q in beads).union(range(1, pad), (delta,))
-            yield (delta, child), delta
-
-
-def bead_class(node: tuple) -> int:
-    """Class m of the self-conjugate partition at an add_hook node.
-
-    Its diagonal hooks are 2b - top for the beads b > top/2 (see
-    beta_from_diagonal); the class is read from the surplus of hooks 1
-    over hooks 3 mod 4.
-    """
-    top, beads = node
-    return _class_index(sum(1 if (2 * b - top) % 4 == 1 else -1 for b in beads if 2 * b > top))
+            yield (delta, child, surplus + 1 if delta % 4 == 1 else surplus - 1), delta
 
 
 def sufficient_core_bound(ts: Iterable[int]) -> int:
@@ -289,15 +278,15 @@ def count_sc_sim_core_m(ts: Iterable[int], m: int, max_n: int) -> tuple[int, ...
     """Per-weight counts of class-m self-conjugate simultaneous cores.
 
     All moduli must be even; odd entries are rejected. The principal-hook
-    reduction may change the class, so the class keys the counts of one
-    search over all classes (bead_class) and never prunes it.
+    reduction may change the class, so one search over all classes keeps
+    the class-m row and never prunes by class.
     """
     moduli = check_moduli(ts)
     for t in moduli:
         if t % 2:
             raise ValueError(f"moduli must all be even, got {t}")
     _check_nonneg(m, "m")
-    return tabulate(add_hook, moduli, max_n, key=bead_class).get(m, (0,) * (max_n + 1))
+    return tabulate(add_hook, moduli, max_n).get(m, (0,) * (max_n + 1))
 
 
 def anderson_count(t1: int, t2: int) -> int:
@@ -373,11 +362,11 @@ def sc_class_table(max_n: int) -> dict[int, tuple[int, ...]]:
     """Self-conjugate partition counts by weight and class.
 
     Returns {m: row}, where row[n] counts the self-conjugate partitions of
-    weight n in class m, keyed as tabulate(..., key=bead_class) keys its
-    rows. A 0/1 knapsack tracks the surplus s of diagonal hooks 1 over 3
-    mod 4, which names the class. Surplus s needs |s| hooks of one residue,
-    of weight at least |s|(2|s| - 1), so |s| <= sqrt(max_n / 2) + 1: one
-    O(max_n) pass per odd hook and surplus. Rows that stay zero are left out.
+    weight n in class m, keyed as tabulate keys its rows. A 0/1 knapsack
+    tracks the surplus s of diagonal hooks 1 over 3 mod 4, which names the
+    class. Surplus s needs |s| hooks of one residue, of weight at least
+    |s|(2|s| - 1), so |s| <= sqrt(max_n / 2) + 1: one O(max_n) pass per
+    odd hook and surplus. Rows that stay zero are left out.
     """
     _check_nonneg(max_n, "max_n")
     reach = math.isqrt(max_n // 2) + 1
@@ -393,9 +382,9 @@ def sc_class_table(max_n: int) -> dict[int, tuple[int, ...]]:
 
 def sc_sim_core_count_table(ts: Iterable[int], max_n: int) -> tuple[int, ...]:
     """Self-conjugate simultaneous-core counts (all classes together)."""
-    return tabulate(add_hook, ts, max_n)[None]
+    return tuple(map(sum, zip(*tabulate(add_hook, ts, max_n).values())))
 
 
 def sim_core_count_table(ts: Iterable[int], max_n: int) -> tuple[int, ...]:
     """Simultaneous-core counts for n in [0, max_n]."""
-    return tabulate(add_row, ts, max_n)[None]
+    return tabulate(add_row, ts, max_n)[0]

@@ -138,21 +138,15 @@ class TruncatedSeries:
         """Multiply by 1 + q^period + q^(2*period) + ... (divide by 1 - q^period).
 
         out[k] = c[k] + out[k - period]: each residue class mod period is a
-        running sum. A short period takes one accumulate per class; a long
-        one, one map per block of `period` terms. Either way it is one
-        O(order) pass in O(sqrt(order)) interpreter steps.
+        running sum, one accumulate per class. That is one O(order) pass in
+        O(min(period, order)) interpreter steps.
         """
         if period < 1:
             raise ValueError(f"period must be >= 1, got {period}")
         c = self._coeffs
-        if period * period < len(c):
-            out = list(c)
-            for r in range(period):
-                out[r::period] = accumulate(c[r::period])
-            return TruncatedSeries._from_coeffs(out)
-        out = list(c[:period])
-        for start in range(period, len(c), period):
-            out += map(operator.add, c[start : start + period], out[start - period : start])
+        out = list(c)
+        for r in range(min(period, len(c))):
+            out[r::period] = accumulate(c[r::period])
         return TruncatedSeries._from_coeffs(out)
 
     def to_json_dict(self) -> dict:

@@ -284,9 +284,7 @@ def _check_prop46(b: SweepBounds):
             tag = {"ts": list(moduli)}
             halves = [t // 2 for t in moduli]
             ordinary = enumeration.sim_core_count_table(halves, b.max_weight // 4)
-            by_class = enumeration.tabulate(
-                enumeration.add_hook, moduli, b.max_weight, key=enumeration.bead_class
-            )
+            by_class = enumeration.tabulate(enumeration.add_hook, moduli, b.max_weight)
             for m in range(max_class + 1):
                 for n, count in enumerate(by_class.get(m, (0,) * (b.max_weight + 1))):
                     yield tag, m, n, count, ordinary
@@ -313,8 +311,7 @@ def _check_cor48(b: SweepBounds):
             ):
                 bound = 4 * enumeration.sufficient_core_bound([t // 2 for t in ts])
                 by_class = enumeration.tabulate(
-                    enumeration.add_hook, ts, bound + _triangular(max_class),
-                    key=enumeration.bead_class,
+                    enumeration.add_hook, ts, bound + _triangular(max_class)
                 )
                 for m in range(max_class + 1):
                     total = sum(by_class.get(m, ())[: bound + _triangular(m) + 1])

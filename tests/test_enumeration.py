@@ -8,9 +8,7 @@ from scpartitions import (
     add_hook,
     add_row,
     anderson_count,
-    bead_class,
     catalan,
-    classify,
     cli,
     core_product_series,
     count_sc_sim_core_m,
@@ -163,7 +161,7 @@ class TestSurplusTable:
         # step the surplus bound sqrt(n/2) + 1 through its values.
         for n in (*range(13), 40):
             table = sc_class_table(n)
-            assert table == tabulate(add_hook, (n + 1,), n, key=bead_class), n
+            assert table == tabulate(add_hook, (n + 1,), n), n
             assert all(any(row) for row in table.values())
             assert tuple(map(sum, zip(*table.values()))) == sc_count_table(n)
 
@@ -229,13 +227,18 @@ class TestCoreCounts:
         assert list(table) == [1 if n in triangulars else 0 for n in range(22)]
 
 
+def all_classes(rows):
+    """The class rows of one tabulate call, summed weight by weight."""
+    return tuple(map(sum, zip(*rows.values())))
+
+
 class TestTabulate:
     def test_one_sweep_counts_every_moduli_set(self):
         for ts in [(2,), (3,), (2, 3), (3, 4)]:
-            assert tabulate(add_row, ts, 12)[None] == sim_core_count_table(ts, 12)
+            assert tabulate(add_row, ts, 12)[0] == sim_core_count_table(ts, 12)
 
     def test_rows_match_brute_force_over_any_stream(self):
-        rows = {ts: tabulate(add_hook, ts, 16)[None] for ts in [(4,), (4, 6)]}
+        rows = {ts: all_classes(tabulate(add_hook, ts, 16)) for ts in [(4,), (4, 6)]}
         for n in range(17):
             scs = list(self_conjugate_of(n))
             assert rows[(4,)][n] == sum(1 for sc in scs if sc.is_simultaneous_core((4,)))
@@ -243,7 +246,7 @@ class TestTabulate:
         assert rows[(4, 6)] == sc_sim_core_count_table((4, 6), 16)
 
     def test_rows_are_tuples_indexed_by_weight(self):
-        assert tabulate(add_row, (5,), 4) == {None: (1, 1, 2, 3, 5)}
+        assert tabulate(add_row, (5,), 4) == {0: (1, 1, 2, 3, 5)}
         assert sim_core_count_table((5,), 4) == (1, 1, 2, 3, 5)
 
     @pytest.mark.parametrize("core_sets", [(), (3, 0), (-1,)])
@@ -257,20 +260,14 @@ class TestTabulate:
 
     def test_key_splits_counts_not_the_search(self):
         # The principal-hook reduction can change the class (the root, the
-        # empty partition, is class 0), so a key that also pruned would lose
-        # cores of every class but 0. The key here rebuilds the partition
-        # from its beads and classifies it.
-        def of_node(node):
-            beads = sorted(node[1], reverse=True)
-            ell = len(beads)
-            return classify(Partition([b - (ell - i) for i, b in enumerate(beads, start=1)]))
-
-        rows = tabulate(add_hook, (41,), 40, key=of_node)
-        assert rows == tabulate(add_hook, (41,), 40, key=bead_class)
+        # empty partition, is class 0), so a search that also pruned by
+        # class would lose cores of every class but 0. Each class row is
+        # checked against brute force, which classifies every partition.
+        rows = tabulate(add_hook, (41,), 40)
         assert set(rows) == {0, 1, 2, 3, 4, 5, 6, 7, 8}
         for m, row in rows.items():
             assert row == sc_cores_by_brute_force((41,), 40, m=m), m
-        assert tuple(map(sum, zip(*rows.values()))) == sc_count_table(40)
+        assert all_classes(rows) == sc_count_table(40)
 
 
 # Moduli sets every table is checked on against brute force: single moduli,
@@ -290,12 +287,13 @@ class TestSearchAgainstBruteForce:
         for t in singles:
             expected = cores_by_brute_force((t,), ORDINARY_MAX)
             assert sim_core_count_table((t,), ORDINARY_MAX) == expected
-            assert tabulate(add_row, (t,), ORDINARY_MAX) == {None: expected}
+            assert tabulate(add_row, (t,), ORDINARY_MAX) == {0: expected}
 
     def test_tabulate_on_every_set(self):
         for ts in ORACLE_SETS + [(25, 31)]:
-            assert tabulate(add_row, ts, ORDINARY_MAX) == {None: cores_by_brute_force(ts, ORDINARY_MAX)}
-            assert tabulate(add_hook, ts, SC_MAX) == {None: sc_cores_by_brute_force(ts, SC_MAX)}
+            assert tabulate(add_row, ts, ORDINARY_MAX) == {0: cores_by_brute_force(ts, ORDINARY_MAX)}
+            by_class = tabulate(add_hook, ts, SC_MAX)
+            assert all_classes(by_class) == sc_cores_by_brute_force(ts, SC_MAX)
 
     @pytest.mark.parametrize("ts", ORACLE_SETS + [(41, 43)], ids=str)
     def test_sc_sim_core_count_table(self, ts):

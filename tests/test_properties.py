@@ -141,17 +141,24 @@ def hook_nodes(draw):
     beads = frozenset(beta_from_diagonal(deltas))
     cores_for = [t for t in range(1, 45) if beta_core(beads, (t,))]
     moduli = draw(st.lists(st.sampled_from(cores_for), min_size=1, max_size=3))
-    return deltas, (deltas[0] if deltas else -1, beads), tuple(sorted(set(moduli)))
+    node = (deltas[0] if deltas else -1, beads, surplus(deltas))
+    return deltas, node, tuple(sorted(set(moduli)))
+
+
+def surplus(deltas):
+    """Diagonal hooks 1 mod 4 less those 3 mod 4."""
+    return sum(1 if d % 4 == 1 else -1 for d in deltas)
 
 
 @given(hook_nodes(), st.integers(0, 60))
 def test_add_hook_yields_exactly_the_core_children(case, room):
-    # Each child is checked on its whole first-column hook set, rebuilt
-    # from its diagonal hooks, against the padded-bead test add_hook makes.
+    # Each child is checked on its whole first-column hook set and its
+    # surplus, both rebuilt from its diagonal hooks, against the padded-bead
+    # test and the one-step surplus update add_hook makes.
     deltas, node, moduli = case
     expected = []
     for delta in range(node[0] + 2, room + 1, 2):
         beads = frozenset(beta_from_diagonal((delta,) + deltas))
         if beta_core(beads, moduli):
-            expected.append(((delta, beads), delta))
+            expected.append(((delta, beads, surplus((delta,) + deltas)), delta))
     assert list(add_hook(node, room, moduli)) == expected

@@ -128,8 +128,9 @@ def test_geometric_undoes_one_minus(coeffs, k):
     assert binomial_pass(s, k, -1).times_geometric(k) == s
 
 
-# Periods with period^2 below order + 1 = 101 take the residue-class branch,
-# 1..10; 11..100 the block branch, and 101, 102 leave the series as it is.
+# times_geometric is one running sum per residue class mod k. Over the 101
+# coefficients, periods 1..100 give classes of 101 down to two terms; at 101
+# and 102 every class is one term, and the series is left as it is.
 @pytest.mark.parametrize("k", range(1, 103))
 def test_geometric_by_residue_or_by_block(k):
     rng = random.Random(1900 + k)

@@ -313,6 +313,31 @@ def test_cor48_checks_the_closed_form_core_counts(monkeypatch):
     assert report.counterexample == {"ts": [6, 8, 10], "m": 0, "total": 4, "cores": 5, "expected": 4}
 
 
+@pytest.mark.parametrize(
+    "theorem, cases, payload",
+    [
+        ("cor4.8", 2, {"ts": [2, 4], "m": 1, "total": 0, "cores": 1, "expected": 1}),
+        ("prop4.6", 5, {"ts": [4, 6], "m": 0, "n": 4, "count": 0, "expected": 1}),
+    ],
+)
+def test_class_checks_read_the_surplus_add_hook_carries(monkeypatch, theorem, cases, payload):
+    # The search takes each core's class from the surplus its node carries.
+    # With the sign flipped on every child, (1) moves from class 1 to 2 and
+    # (2, 2) from class 0 to 3: cor4.8 finds no class-1 (2, 4)-core of weight
+    # <= 1, and prop4.6 no class-0 (4, 6)-core of weight 4.
+    add_hook = verify.enumeration.add_hook
+
+    def flipped(node, *args):
+        for (top, beads, surplus), gain in add_hook(node, *args):
+            yield (top, beads, -surplus), gain
+
+    monkeypatch.setattr(verify.enumeration, "add_hook", flipped)
+    report = verify.run_check(theorem)
+    assert not report.passed
+    assert report.cases == cases
+    assert report.counterexample == payload
+
+
 def test_defect_table_covers_every_check():
     assert sorted(row[0] for row in DEFECT_TABLE) == sorted(verify.all_ids())
 
@@ -455,25 +480,22 @@ def test_eq12_catches_a_dropped_even_euler_pass(monkeypatch):
 
 
 def test_gauss_catches_a_geometric_pass_that_skips_a_residue_class(monkeypatch):
-    # times_geometric takes a short period one residue class at a time; with
-    # the last class left out, the builder's first term q / (1 - q) stays q
-    # and gauss at the defaults must fail at q^2.
-    geometric = TruncatedSeries.times_geometric
-    short = []
+    # times_geometric takes one running sum per residue class mod the period;
+    # with the last class left out, the builder's first term q / (1 - q)
+    # stays q and gauss at the defaults must fail at q^2.
+    periods = []
 
     def last_class_skipped(self, period):
+        periods.append(period)
         c = self.coeffs
-        if period * period >= len(c):
-            return geometric(self, period)
-        short.append(period)
         out = list(c)
-        for r in range(period - 1):
+        for r in range(min(period, len(c)) - 1):
             out[r::period] = accumulate(c[r::period])
         return TruncatedSeries._from_coeffs(out)
 
     monkeypatch.setattr(TruncatedSeries, "times_geometric", last_class_skipped)
     report = verify.run_check("gauss")
-    assert short
+    assert periods
     assert not report.passed
     assert report.counterexample["exponent"] == 2
 
