@@ -16,6 +16,7 @@ fixed width. Digits of 1, 2, 4 or 8 bytes are packed and read back by
 one `struct` call per series; other widths by one `int.to_bytes` or
 `int.from_bytes` per coefficient. Either way that is O(N) at C speed.
 series_from_counts reads a count table: a tuple indexed by weight.
+check_identity returns None or the first mismatch (exponent, lhs, rhs).
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from __future__ import annotations
 import operator
 import struct
 from itertools import accumulate, repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .enumeration import _pentagonal, partition_count_table
 from .partitions import check_moduli
 
 __all__ = [
     "TruncatedSeries",
-    "IdentityCheck",
     "series_from_counts",
     "triangular_series",
     "core_product_series",
@@ -81,6 +81,8 @@ class TruncatedSeries:
         return self._coeffs
 
     def _check_order(self, other: "TruncatedSeries") -> None:
+        if not isinstance(other, TruncatedSeries):
+            raise TypeError(f"expected a TruncatedSeries, got {type(other).__name__}")
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} != {other.order}")
 
@@ -153,15 +155,6 @@ class TruncatedSeries:
         return {"order": self.order, "coefficients": list(self._coeffs)}
 
 
-class IdentityCheck(NamedTuple):
-    """Outcome of a coefficient-wise comparison of two series."""
-
-    equal: bool
-    first_mismatch: int | None = None
-    lhs_coefficient: int | None = None
-    rhs_coefficient: int | None = None
-
-
 def _pack(coeffs: tuple[int, ...], size: int, half: int) -> int:
     """Sum of (c_i + half) * 256^(size * i): each coefficient as one size-byte digit."""
     return int.from_bytes(
@@ -178,14 +171,13 @@ def _unpack(value: int, size: int, count: int, half: int) -> Iterator[int]:
     return map(half.__rsub__, map(int.from_bytes, digits, repeat("little")))
 
 
-def check_identity(lhs: TruncatedSeries, rhs: TruncatedSeries) -> IdentityCheck:
-    """Compare coefficient-wise; report the first mismatching exponent."""
-    if lhs.order != rhs.order:
-        raise ValueError(f"order mismatch: {lhs.order} != {rhs.order}")
+def check_identity(lhs: TruncatedSeries, rhs: TruncatedSeries) -> tuple[int, int, int] | None:
+    """Compare coefficient-wise: None if equal, else (exponent, lhs, rhs) at the first mismatch."""
+    lhs._check_order(rhs)
     for k, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
         if a != b:
-            return IdentityCheck(False, k, a, b)
-    return IdentityCheck(True)
+            return k, a, b
+    return None
 
 
 def series_from_counts(counts: tuple[int, ...], stride: int, order: int) -> TruncatedSeries:

@@ -10,8 +10,8 @@ phi, one over all partitions. thm3.1 has a row in each. A walk runs
 law-major over chunks of each weight's partitions, so each row reports
 its own law time. prop3.4 and prop4.6 share one class-reduction law
 (_class_reduction) over class-keyed tables; cor4.8 also checks Anderson's
-and Wang's core counts. The six series identities are rows (_Series) of one
-table (_SERIES); a row's sides look their builders up when they run.
+and Wang's core counts. The six series identities are _Series rows whose
+sides look their builders up when they run; CHECKS[id] is the check.
 """
 
 from __future__ import annotations
@@ -321,11 +321,10 @@ def _check_cor48(b: SweepBounds):
 
 
 class _Series(NamedTuple):
-    """One row of _SERIES: left(x, order) == right(x, order) for each x of the
+    """A series identity: left(x, order) == right(x, order) for each x of the
     moduli in over ({params key: moduli}, or {} for one case, x = None), order
     + 1 cases each. A mismatch reports x under its tag (_TAGS) in the payload."""
 
-    description: str
     over: dict
     left: Callable
     right: Callable
@@ -333,11 +332,10 @@ class _Series(NamedTuple):
 
     def check(self, b: SweepBounds):
         def law(x):
-            outcome = series.check_identity(self.left(x, b.order), self.right(x, b.order))
-            if not outcome.equal:
+            mismatch = series.check_identity(self.left(x, b.order), self.right(x, b.order))
+            if mismatch is not None:
                 tag = {_TAGS[key]: deepcopy(x) for key in self.over}
-                # outcome[1:] is (first_mismatch, lhs_coefficient, rhs_coefficient).
-                return {**tag, **dict(zip(("exponent", self.lhs_key, "product"), outcome[1:]))}
+                return {**tag, **dict(zip(("exponent", self.lhs_key, "product"), mismatch))}
 
         params = deepcopy({**self.over, "order": b.order})
         xs = next(iter(self.over.values()), [None])
@@ -349,41 +347,6 @@ def _quadrupled(counts, order: int):
 
 
 _TAGS = {"moduli": "t", "pairs": "ts"}
-_SERIES = {
-    "eq1.1": _Series(
-        "t-core counting series equals its product expansion", {"moduli": [2, 3, 5]},
-        lambda t, n: series.series_from_counts(enumeration.sim_core_count_table((t,), n), 1, n),
-        lambda t, n: series.core_product_series(t, n),
-    ),
-    "eq1.2": _Series(
-        "self-conjugate even-core series equals its product expansion", {"moduli": [1, 2, 3]},
-        lambda t, n: series.series_from_counts(enumeration.sc_sim_core_count_table((2 * t,), n), 1, n),
-        lambda t, n: series.sc_even_core_product_series(t, n),
-    ),
-    "gauss": _Series(
-        "even/odd product expansion equals the triangular series", {},
-        lambda _, n: series.triangular_series(n), lambda _, n: series.gauss_product_series(n),
-        "triangular",
-    ),
-    "cor1.2": _Series(
-        "self-conjugate counts factor through quadrupled partition counts", {},
-        lambda _, n: series.series_from_counts(enumeration.sc_count_table(n), 1, n),
-        lambda _, n: _quadrupled(enumeration.partition_count_table(n // 4), n),
-    ),
-    "thm1.4": _Series(
-        "self-conjugate simultaneous-core series factorization", {"pairs": [[2, 3], [3, 4]]},
-        lambda ts, n: series.series_from_counts(
-            enumeration.sc_sim_core_count_table([2 * t for t in ts], n), 1, n
-        ),
-        lambda ts, n: _quadrupled(enumeration.sim_core_count_table(ts, n // 4), n),
-    ),
-    "cor1.5": _Series(
-        "self-conjugate 2t-core series factorization", {"moduli": [2, 3]},
-        lambda t, n: series.series_from_counts(enumeration.sc_sim_core_count_table((2 * t,), n), 1, n),
-        lambda t, n: _quadrupled(enumeration.sim_core_count_table((t,), n // 4), n),
-    ),
-}
-
 
 _RING_LAWS = (
     ("commutativity", lambda x, y, z: x * y == y * x),
@@ -416,48 +379,62 @@ def _check_ringlaws(b: SweepBounds):
 # A check is a function of the bounds returning (params, cases, counterexample),
 # or a tuple of per-partition rows (_Law), at most one per walk, in walk order.
 CHECKS = {
-    "lem2.2": ("first-column hook set rebuilt from diagonal hooks", (_Law(_lem22, "sc"),)),
-    "prop2.3": ("disparity equals the class triangular number", (_Law(_prop23, "sc"),)),
+    "lem2.2": (_Law(_lem22, "sc"),),
+    "prop2.3": (_Law(_prop23, "sc"),),
     "thm3.1": (
-        "class-m correspondence round trips both ways",
-        (
-            _Law(_thm31, "sc", True, _thm31_params),
-            _Law(
-                _thm31_mu, "p",
-                weights=lambda b: range(b.max_mu_weight + 1), cases=lambda b: b.max_class + 1,
-            ),
+        _Law(_thm31, "sc", True, _thm31_params),
+        _Law(
+            _thm31_mu, "p",
+            weights=lambda b: range(b.max_mu_weight + 1), cases=lambda b: b.max_class + 1,
         ),
     ),
-    "prop3.4": ("class-m self-conjugate counts reduce to p(k)", _check_prop34),
+    "prop3.4": _check_prop34,
     "lem4.1": (
-        "corner-hook differences complement the first-row hooks",
-        (
-            _Law(
-                _lem41, "p",
-                params=lambda b: {"max_mu_weight": min(b.max_weight, _LEM41_WEIGHT)},
-                weights=lambda b: range(1, min(b.max_weight, _LEM41_WEIGHT) + 1),
-            ),
+        _Law(
+            _lem41, "p",
+            params=lambda b: {"max_mu_weight": min(b.max_weight, _LEM41_WEIGHT)},
+            weights=lambda b: range(1, min(b.max_weight, _LEM41_WEIGHT) + 1),
         ),
     ),
-    "prop4.2": (
-        "half-even first-column hooks match the image partition",
-        (_Law(_prop42, "sc", True, weights=lambda b: range(1, b.max_weight + 1)),),
-    ),
-    "thm4.4": (
-        "even hooks 2k appear twice as often as image hooks k", (_Law(_thm44, "sc", True),)
-    ),
-    "prop4.4": (
-        "principal-hook deletion commutes with the correspondence",
-        (_Law(_prop44, "sc", True, weights=lambda b: range(1, b.max_weight + 1)),),
-    ),
-    "cor4.5": (
-        "doubled-modulus cores correspond to cores of the image",
-        (_Law(_cor45, "sc", True, _cor45_params, cases=lambda b: 4),),
-    ),
-    "prop4.6": ("class-m simultaneous-core counts reduce to ordinary ones", _check_prop46),
-    "cor4.8": ("Catalan/Motzkin totals for consecutive even moduli", _check_cor48),
-    **{t: (row.description, row.check) for t, row in _SERIES.items()},
-    "ringlaws": ("randomized series ring laws", _check_ringlaws),
+    "prop4.2": (_Law(_prop42, "sc", True, weights=lambda b: range(1, b.max_weight + 1)),),
+    "thm4.4": (_Law(_thm44, "sc", True),),
+    "prop4.4": (_Law(_prop44, "sc", True, weights=lambda b: range(1, b.max_weight + 1)),),
+    "cor4.5": (_Law(_cor45, "sc", True, _cor45_params, cases=lambda b: 4),),
+    "prop4.6": _check_prop46,
+    "cor4.8": _check_cor48,
+    "eq1.1": _Series(
+        {"moduli": [2, 3, 5]},
+        lambda t, n: series.series_from_counts(enumeration.sim_core_count_table((t,), n), 1, n),
+        lambda t, n: series.core_product_series(t, n),
+    ).check,
+    "eq1.2": _Series(
+        {"moduli": [1, 2, 3]},
+        lambda t, n: series.series_from_counts(enumeration.sc_sim_core_count_table((2 * t,), n), 1, n),
+        lambda t, n: series.sc_even_core_product_series(t, n),
+    ).check,
+    "gauss": _Series(
+        {},
+        lambda _, n: series.triangular_series(n), lambda _, n: series.gauss_product_series(n),
+        "triangular",
+    ).check,
+    "cor1.2": _Series(
+        {},
+        lambda _, n: series.series_from_counts(enumeration.sc_count_table(n), 1, n),
+        lambda _, n: _quadrupled(enumeration.partition_count_table(n // 4), n),
+    ).check,
+    "thm1.4": _Series(
+        {"pairs": [[2, 3], [3, 4]]},
+        lambda ts, n: series.series_from_counts(
+            enumeration.sc_sim_core_count_table([2 * t for t in ts], n), 1, n
+        ),
+        lambda ts, n: _quadrupled(enumeration.sim_core_count_table(ts, n // 4), n),
+    ).check,
+    "cor1.5": _Series(
+        {"moduli": [2, 3]},
+        lambda t, n: series.series_from_counts(enumeration.sc_sim_core_count_table((2 * t,), n), 1, n),
+        lambda t, n: _quadrupled(enumeration.sim_core_count_table((t,), n // 4), n),
+    ).check,
+    "ringlaws": _check_ringlaws,
 }
 
 
@@ -525,7 +502,7 @@ def _walk(checks: dict, b: SweepBounds) -> dict:
 def run_check(theorem: str, **overrides) -> VerificationReport:
     """Run one registered check, a walked one as a walk of its own rows;
     raises KeyError for an unknown id."""
-    check = CHECKS[theorem][1]
+    check = CHECKS[theorem]
     bounds = SweepBounds(**overrides)
     if isinstance(check, tuple):
         return _walk({theorem: check}, bounds)[theorem]
@@ -542,7 +519,7 @@ def run_checks(theorems: list[str], **overrides) -> list[VerificationReport]:
     given, so each stays a separately timed call. Raises KeyError for an
     unknown id before any check runs.
     """
-    checks = {t: CHECKS[t][1] for t in theorems}
+    checks = {t: CHECKS[t] for t in theorems}
     bounds = SweepBounds(**overrides)
     walked = _walk({t: c for t, c in checks.items() if isinstance(c, tuple)}, bounds)
     return [walked[t] if t in walked else run_check(t, **overrides) for t in theorems]

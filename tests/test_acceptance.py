@@ -171,19 +171,19 @@ def test_09_series_identities_to_order_40():
     with criterion("9 series identities"):
         for t in (2, 3, 5):
             enum = series_from_counts(sim_core_count_table((t,), order), 1, order)
-            assert check_identity(enum, core_product_series(t, order)).equal
+            assert check_identity(enum, core_product_series(t, order)) is None
         for t in (1, 2, 3):
             enum = series_from_counts(sc_sim_core_count_table((2 * t,), order), 1, order)
-            assert check_identity(enum, sc_even_core_product_series(t, order)).equal
+            assert check_identity(enum, sc_even_core_product_series(t, order)) is None
         assert gauss_product_series(order) == triangular_series(order)
         tri = triangular_series(order)
         sc_series = series_from_counts(sc_count_table(order), 1, order)
         p_stride = series_from_counts(partition_count_table(order // 4), 4, order)
-        assert check_identity(sc_series, p_stride * tri).equal
+        assert check_identity(sc_series, p_stride * tri) is None
         for t in (2, 3):
             lhs = series_from_counts(sc_sim_core_count_table((2 * t,), order), 1, order)
             rhs = series_from_counts(sim_core_count_table((t,), order // 4), 4, order) * tri
-            assert check_identity(lhs, rhs).equal
+            assert check_identity(lhs, rhs) is None
         for t1, t2 in ((2, 3), (3, 4)):
             lhs = series_from_counts(
                 sc_sim_core_count_table((2 * t1, 2 * t2), order), 1, order
@@ -191,7 +191,7 @@ def test_09_series_identities_to_order_40():
             rhs = series_from_counts(
                 sim_core_count_table((t1, t2), order // 4), 4, order
             ) * tri
-            assert check_identity(lhs, rhs).equal
+            assert check_identity(lhs, rhs) is None
 
 
 def test_10_full_verify_suite_under_a_minute(capsys):

@@ -16,7 +16,6 @@ from oracles import (
     sc_even_core_product_dense,
 )
 from scpartitions import (
-    IdentityCheck,
     TruncatedSeries,
     check_identity,
     core_product_series,
@@ -61,6 +60,12 @@ class TestArithmetic:
             TruncatedSeries([1], order=2) + TruncatedSeries([1], order=3)
         with pytest.raises(ValueError, match="order mismatch"):
             check_identity(TruncatedSeries([1], 2), TruncatedSeries([1], 3))
+
+    def test_non_series_operand_rejected(self):
+        s = TruncatedSeries([1, 1], 1)
+        for call in (lambda: s + 1, lambda: s * 2, lambda: check_identity(s, [1])):
+            with pytest.raises(TypeError, match="expected a TruncatedSeries, got (int|list)"):
+                call()
 
     def test_geometric(self):
         s = TruncatedSeries.one(6).times_geometric(2)
@@ -368,7 +373,7 @@ class TestProductForms:
         for t in (2, 3, 5):
             prod = core_product_series(t, 30)
             table = sim_core_count_table((t,), 30)
-            assert check_identity(series_from_counts(table, 1, 30), prod).equal
+            assert check_identity(series_from_counts(table, 1, 30), prod) is None
 
     def test_core_gf_pointwise(self):
         prod = core_product_series(4, 12)
@@ -379,7 +384,7 @@ class TestProductForms:
         for t in (1, 2, 3):
             prod = sc_even_core_product_series(t, 30)
             table = sc_sim_core_count_table((2 * t,), 30)
-            assert check_identity(series_from_counts(table, 1, 30), prod).equal
+            assert check_identity(series_from_counts(table, 1, 30), prod) is None
 
     def test_sc_two_core_is_staircase_indicator(self):
         assert sc_even_core_product_series(1, 20) == triangular_series(20)
@@ -395,7 +400,7 @@ class TestIdentities:
         rhs = series_from_counts(
             partition_count_table(order // 4), 4, order
         ) * triangular_series(order)
-        assert check_identity(lhs, rhs).equal
+        assert check_identity(lhs, rhs) is None
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_sc_core_series_factor(self, t):
@@ -404,7 +409,7 @@ class TestIdentities:
         rhs = series_from_counts(
             sim_core_count_table((t,), order // 4), 4, order
         ) * triangular_series(order)
-        assert check_identity(lhs, rhs).equal
+        assert check_identity(lhs, rhs) is None
 
     @pytest.mark.parametrize("pair", [(2, 3), (3, 4)])
     def test_sc_sim_core_series_factor(self, pair):
@@ -416,28 +421,13 @@ class TestIdentities:
         rhs = series_from_counts(
             sim_core_count_table(pair, order // 4), 4, order
         ) * triangular_series(order)
-        assert check_identity(lhs, rhs).equal
+        assert check_identity(lhs, rhs) is None
 
     def test_perturbed_coefficient_is_caught(self):
         lhs = triangular_series(12)
         coeffs = list(lhs.coeffs)
         coeffs[6] += 1
-        outcome = check_identity(lhs, TruncatedSeries(coeffs, 12))
-        assert not outcome.equal
-        assert outcome.first_mismatch == 6
-        assert outcome.lhs_coefficient == 1
-        assert outcome.rhs_coefficient == 2
+        assert check_identity(lhs, TruncatedSeries(coeffs, 12)) == (6, 1, 2)
 
     def test_equal_report(self):
-        outcome = check_identity(triangular_series(8), triangular_series(8))
-        assert outcome.equal
-        assert outcome.first_mismatch is None
-
-    def test_identity_check_defaults_and_frozen_fields(self):
-        outcome = IdentityCheck(True)
-        assert (outcome.first_mismatch, outcome.lhs_coefficient, outcome.rhs_coefficient) == (
-            None, None, None,
-        )
-        for field in outcome._fields:
-            with pytest.raises(AttributeError):
-                setattr(outcome, field, getattr(outcome, field))
+        assert check_identity(triangular_series(8), triangular_series(8)) is None

@@ -59,6 +59,33 @@ def test_every_public_name_is_used_by_the_library():
     assert unused == set()
 
 
+def test_every_record_field_is_read_by_name():
+    # A field of a NamedTuple class must be loaded as an attribute somewhere
+    # in the package, so a record carries no field its readers never use. A
+    # class that serialises itself through _asdict() hands every field on.
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    fields = {
+        f"{cls.name}.{stmt.target.id}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in cls.bases)
+        and not any(
+            isinstance(node, ast.Attribute) and node.attr == "_asdict" for node in ast.walk(cls)
+        )
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    assert "_Law.reads_image" in fields
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert {field for field in fields if field.rsplit(".", 1)[-1] not in read} == set()
+
+
 def test_verify_loads_no_private_name_of_another_module():
     # Each decision lives in the module that owns it: verify.py reads the
     # other package modules through their public names only.

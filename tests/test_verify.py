@@ -109,13 +109,7 @@ def test_failure_payload_revalidates():
     # back through the library.
     good = TruncatedSeries([1, 1, 0, 1], order=3)
     bad = TruncatedSeries([1, 1, 5, 1], order=3)
-    outcome = check_identity(good, bad)
-    assert not outcome.equal
-    payload = {
-        "exponent": outcome.first_mismatch,
-        "enumerated": outcome.lhs_coefficient,
-        "product": outcome.rhs_coefficient,
-    }
+    payload = dict(zip(("exponent", "enumerated", "product"), check_identity(good, bad)))
     # replay from the payload alone
     k = payload["exponent"]
     assert good.coeffs[k] == payload["enumerated"]
@@ -412,9 +406,15 @@ def test_readme_verify_table_lists_every_check_in_order():
     section = readme.split("### Verification checks", 1)[1].split("\n#", 1)[0]
     rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", section, flags=re.M)
     assert [theorem for theorem, _ in rows] == verify.all_ids()
-    # Each series row names the moduli its _SERIES row runs.
+    # Each series row names the moduli its _Series row runs.
     text = dict(rows)
-    for theorem, row in verify._SERIES.items():
+    series_rows = {
+        theorem: check.__self__
+        for theorem, check in verify.CHECKS.items()
+        if isinstance(getattr(check, "__self__", None), verify._Series)
+    }
+    assert list(series_rows) == ["eq1.1", "eq1.2", "gauss", "cor1.2", "thm1.4", "cor1.5"]
+    for theorem, row in series_rows.items():
         for moduli in row.over.values():
             named = ", ".join(str(tuple(x)) if isinstance(x, list) else str(x) for x in moduli)
             assert named in text[theorem], theorem
