@@ -144,7 +144,7 @@ ROUND_TRIP_BUDGET = 1_000_000
 
 # Largest --order of series and verify, and --max of count --family p|sc (product-series
 # coefficients up to q^max). verify eq1.1 searches every 5-core up to the order, 4x the time
-# per doubling (8.5 s at --order 2000 on a 2-vCPU host), so a huge order would hang, not fail.
+# per doubling (4.2 s at --order 2000 on a 2-vCPU host), so a huge order would hang, not fail.
 ORDER_LIMIT = 2000
 
 

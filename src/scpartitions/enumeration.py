@@ -4,9 +4,9 @@ Generation order is part of the contract: partitions of n stream in
 reverse lexicographic order, self-conjugate partitions in decreasing
 lexicographic order of their diagonal hook tuples. Count tables are
 tuples indexed by weight. A core table is one exhaustive depth-first
-search over the cores of one moduli set (tabulate, growing a partition
-one first row or one principal hook at a time, each node carrying its
-class), so its cost follows the number of cores, not of partitions.
+search over the cores of one moduli set (tabulate grows a partition one
+first row or one principal hook at a time, each node its packed beads
+and class), so its cost follows the number of cores, not of partitions.
 Self-conjugate partitions are counted without a walk: a 0/1 knapsack
 over odd diagonal hooks gives their totals, and one that also tracks the
 surplus of hooks 1 over 3 mod 4 gives them keyed by class
@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .bijection import _class_index
-from .partitions import Partition, _sc_from_hooks, check_moduli
+from .partitions import Partition, _is_core, _sc_from_hooks, check_moduli
 
 __all__ = [
     "partitions_of",
@@ -184,15 +184,15 @@ def tabulate(
 ) -> dict[int, tuple[int, ...]]:
     """Per-weight counts of the moduli-cores by class, by a depth-first search over cores.
 
-    A node is (top, beads, surplus): the first-column hook set of a
-    partition, its largest element (-1 for the empty partition at the root)
-    and the surplus of diagonal hooks 1 over 3 mod 4, which names the class.
+    A node is (beads, surplus): a partition's first-column hook set packed
+    into the bits of one integer as Partition packs it (0 at the root), and
+    the surplus of diagonal hooks 1 over 3 mod 4, which names the class.
     grow(node, room, moduli) yields, as (child, gain), the children of a
-    core that are cores and weigh at most room more. A partition is the
-    child of its reduction (itself less the outer layer grow adds), and the
-    reduction of a core is a core (see add_row, add_hook), so each core is
-    reached once. Recursion is as deep as the partition has rows or
-    diagonal hooks.
+    core that are cores (by partitions._is_core) and weigh at most room
+    more. A partition is the child of its reduction (itself less the outer
+    layer grow adds), and the reduction of a core is a core (see add_row,
+    add_hook), so each core is reached once. Recursion is as deep as the
+    partition has rows or diagonal hooks.
 
     Returns {m: row}, where row[n] counts the cores of weight n in class m;
     add_row keeps the root's surplus, so its cores all fall under class 0.
@@ -203,11 +203,11 @@ def tabulate(
     rows = defaultdict(lambda: [0] * (max_n + 1))
 
     def visit(node: tuple, weight: int) -> None:
-        rows[node[2]][weight] += 1
+        rows[node[1]][weight] += 1
         for child, gain in grow(node, max_n - weight, moduli):
             visit(child, weight + gain)
 
-    visit((-1, frozenset(), 0), 0)
+    visit((0, 0), 0)
     return {_class_index(s): tuple(row) for s, row in rows.items()}
 
 
@@ -216,16 +216,17 @@ def add_row(node: tuple, room: int, moduli: tuple) -> Iterator[tuple]:
 
     Deleting the first row of a partition leaves the hook of every cell in
     rows 2, 3, ... unchanged, so the reduction of a t-core is a t-core. A
-    new first row a >= the old one keeps the beads and adds b = a +
-    len(beads) above them; by the abacus criterion the child is a t-core
-    iff b < t or b - t is a bead, and either forces b <= top + t. A child
-    is tested in O(number of moduli) and keeps its parent's surplus.
+    new first row a >= the old one adds bead b = a + ell above the largest,
+    top, of the ell beads. By the abacus criterion a t-core child has b < t
+    or b - t as a bead, so b <= top + t. The surplus is kept.
     """
-    top, beads, surplus = node
-    ell = len(beads)
+    beads, surplus = node
+    top = beads.bit_length() - 1
+    ell = beads.bit_count()
     for b in range(max(top + 1, 1), min(room + ell, top + moduli[0]) + 1):
-        if all(b < t or b - t in beads for t in moduli):
-            yield (b, beads | {b}, surplus), b - ell
+        child = beads | 1 << b
+        if _is_core(child, moduli):
+            yield (child, surplus), b - ell
 
 
 def add_hook(node: tuple, room: int, moduli: tuple) -> Iterator[tuple]:
@@ -234,23 +235,21 @@ def add_hook(node: tuple, room: int, moduli: tuple) -> Iterator[tuple]:
     Deleting the principal hook (first row and column) of a self-conjugate
     partition leaves the hook of every cell (i, j) with i, j >= 2
     unchanged, so the reduction of a core is a core. A child adds an odd
-    delta > top as its largest diagonal hook; its beads are the parent's,
-    padded to a = (delta + 1)/2 (each shifted up by pad = (delta - top)/2,
-    with 0, ..., pad - 1 below), with bead 0 moved to delta. Padding keeps
-    a t-core, so the child is a t-core iff t is not a padded bead and
-    (delta < t or delta - t is a padded bead other than 0). A self-conjugate
-    partition with a beads has x as a bead iff 2a - 1 - x = delta - x is
-    not one, so the second condition implies the first; it forces delta <=
-    top + 2t. A padded bead y is y < pad or y - pad in beads, so a rejected
-    child costs O(number of moduli). The other diagonal hooks are kept, so
-    the surplus moves by one, up if delta is 1 mod 4 and down otherwise.
+    delta > top, the largest bead, as its largest diagonal hook: its beads
+    are the parent's padded to (delta + 1)/2 (shifted up by pad = (delta -
+    top)/2, with 0, ..., pad - 1 below), with bead 0 moved to delta. As x
+    is a bead iff delta - x is not, a t-core child (delta < t or delta - t a
+    bead) has t as a gap, so t >= pad: delta <= top + 2t. The other
+    diagonal hooks stay, so the surplus moves by one, up if delta is 1 mod
+    4 and down otherwise.
     """
-    top, beads, surplus = node
+    beads, surplus = node
+    top = beads.bit_length() - 1
     for delta in range(top + 2, min(room, top + 2 * moduli[0]) + 1, 2):
         pad = (delta - top) // 2
-        if all(delta < t or 0 < delta - t < pad or delta - t - pad in beads for t in moduli):
-            child = frozenset(q + pad for q in beads).union(range(1, pad), (delta,))
-            yield (delta, child, surplus + 1 if delta % 4 == 1 else surplus - 1), delta
+        child = beads << pad | (1 << pad) - 2 | 1 << delta
+        if _is_core(child, moduli):
+            yield (child, surplus + 1 if delta % 4 == 1 else surplus - 1), delta
 
 
 def sufficient_core_bound(ts: Iterable[int]) -> int:

@@ -226,19 +226,19 @@ class Partition:
         return surplus * (surplus + 1) // 2
 
     def is_simultaneous_core(self, ts: Iterable[int]) -> bool:
-        """True when the partition is a t-core for every modulus in ts.
+        """True when the partition is a t-core for every modulus in ts."""
+        return _is_core(self._bead_bits(), check_moduli(ts))
 
-        By the abacus criterion, a partition has no hook divisible by t
-        exactly when every bead x >= t has x - t as a bead: shifting the
-        beads down by t lands on no gap.
-        """
-        moduli = check_moduli(ts)
-        beads = self._bead_bits()
-        gaps = ~beads
-        for t in moduli:
-            if beads >> t & gaps:
-                return False
-        return True
+
+def _is_core(beads: int, moduli: tuple[int, ...]) -> bool:
+    # By the abacus criterion, packed beads have no hook divisible by t when
+    # every bead x >= t has x - t as a bead: shifting the beads down by t
+    # lands on no gap. The core search tests its children with this too.
+    gaps = ~beads
+    for t in moduli:
+        if beads >> t & gaps:
+            return False
+    return True
 
 
 def parse_ints(text: str) -> list[int]:

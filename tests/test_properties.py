@@ -9,6 +9,7 @@ from scpartitions import (
     Partition,
     TruncatedSeries,
     add_hook,
+    add_row,
     beta_from_diagonal,
     delete_principal_hook,
     phi,
@@ -134,15 +135,45 @@ def test_principal_hook_deletion_keeps_inner_hooks(deltas):
     assert hook_table(inner.parts) == below
 
 
+def packed(beads):
+    """A set of beads as the set bits of one integer, as the search's nodes hold them."""
+    return sum(1 << x for x in beads)
+
+
+def core_moduli(draw, beads):
+    """Ascending moduli, one to three, for which the beads are a core."""
+    cores_for = [t for t in range(1, 45) if beta_core(beads, (t,))]
+    moduli = draw(st.lists(st.sampled_from(cores_for), min_size=1, max_size=3))
+    return tuple(sorted(set(moduli)))
+
+
+@st.composite
+def row_nodes(draw):
+    """(a partition, its add_row node, ascending moduli it is a core for)."""
+    p = draw(partitions)
+    beads = frozenset(p.beta_set())
+    return p, (packed(beads), draw(st.integers(-3, 3))), core_moduli(draw, beads)
+
+
+@given(row_nodes(), st.integers(0, 60))
+def test_add_row_yields_exactly_the_core_children(case, room):
+    # Each child, a new first row a at least the old one, is checked on its
+    # whole first-column hook set; it gains a boxes and keeps the surplus.
+    p, node, moduli = case
+    expected = []
+    for a in range(p[0] if p else 1, room + 1):
+        beads = frozenset(Partition((a,) + p.parts).beta_set())
+        if beta_core(beads, moduli):
+            expected.append(((packed(beads), node[1]), a))
+    assert list(add_row(node, room, moduli)) == expected
+
+
 @st.composite
 def hook_nodes(draw):
     """(diagonal hooks, their add_hook node, ascending moduli the partition is a core for)."""
     deltas = draw(odd_sets)
     beads = frozenset(beta_from_diagonal(deltas))
-    cores_for = [t for t in range(1, 45) if beta_core(beads, (t,))]
-    moduli = draw(st.lists(st.sampled_from(cores_for), min_size=1, max_size=3))
-    node = (deltas[0] if deltas else -1, beads, surplus(deltas))
-    return deltas, node, tuple(sorted(set(moduli)))
+    return deltas, (packed(beads), surplus(deltas)), core_moduli(draw, beads)
 
 
 def surplus(deltas):
@@ -153,12 +184,12 @@ def surplus(deltas):
 @given(hook_nodes(), st.integers(0, 60))
 def test_add_hook_yields_exactly_the_core_children(case, room):
     # Each child is checked on its whole first-column hook set and its
-    # surplus, both rebuilt from its diagonal hooks, against the padded-bead
-    # test and the one-step surplus update add_hook makes.
+    # surplus, both rebuilt from its diagonal hooks, against the bead integer
+    # add_hook shifts and pads and the one-step surplus update it makes.
     deltas, node, moduli = case
     expected = []
-    for delta in range(node[0] + 2, room + 1, 2):
+    for delta in range((deltas[0] if deltas else -1) + 2, room + 1, 2):
         beads = frozenset(beta_from_diagonal((delta,) + deltas))
         if beta_core(beads, moduli):
-            expected.append(((delta, beads, surplus((delta,) + deltas)), delta))
+            expected.append(((packed(beads), surplus((delta,) + deltas)), delta))
     assert list(add_hook(node, room, moduli)) == expected

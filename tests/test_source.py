@@ -140,6 +140,26 @@ def test_no_count_function_walks_the_generators():
     assert walkers == set()
 
 
+def test_core_search_tests_cores_as_partition_does():
+    # A search node packs its beads into one integer as a Partition does,
+    # and add_row and add_hook accept a child through partitions._is_core:
+    # enumeration.py builds no bead set and shifts no beads of its own.
+    path = Path(scpartitions.__file__).parent / "enumeration.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not any(isinstance(node, ast.Name) and node.id == "frozenset" for node in ast.walk(tree))
+    assert not any(isinstance(node, ast.RShift) for node in ast.walk(tree))
+    loads = {
+        fn.name: {
+            node.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in {"add_row", "add_hook"}
+    }
+    assert {name for name, names in loads.items() if "_is_core" in names} == {"add_row", "add_hook"}
+
+
 def test_only_partitions_sets_a_known_conjugate():
     # A Partition trusts its _conj, _hooks and _beads slots as its
     # conjugate's parts, its diagonal hooks and its packed beads, so only
@@ -181,11 +201,12 @@ def test_verify_walks_the_self_conjugate_partitions_at_one_site():
 
 
 # The per-partition primitives the self-conjugate walk calls for every
-# partition: a generator expression there costs a frame per call.
+# partition, and the core test the core search calls for every child: a
+# generator expression there costs a frame per call.
 NO_GENERATOR_EXPRESSION = {
     "partitions.py": {
         "Partition.is_simultaneous_core", "Partition.hook_multiset", "Partition.beta_set",
-        "Partition.disparity", "Partition.diagonal_hooks", "_sc_from_hooks",
+        "Partition.disparity", "Partition.diagonal_hooks", "_sc_from_hooks", "_is_core",
     },
     "bijection.py": {
         "phi", "psi", "classify", "half_even_beta", "complement_beta",

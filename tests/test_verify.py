@@ -322,8 +322,8 @@ def test_class_checks_read_the_surplus_add_hook_carries(monkeypatch, theorem, ca
     add_hook = verify.enumeration.add_hook
 
     def flipped(node, *args):
-        for (top, beads, surplus), gain in add_hook(node, *args):
-            yield (top, beads, -surplus), gain
+        for (beads, surplus), gain in add_hook(node, *args):
+            yield (beads, -surplus), gain
 
     monkeypatch.setattr(verify.enumeration, "add_hook", flipped)
     report = verify.run_check(theorem)
