@@ -68,7 +68,12 @@ def phi(sc: Partition) -> PhiImage:
         for j, x in enumerate(b, -s):
             tally[x + j] += 1
         parts += list(accumulate(tally[:0:-1]))[::-1]
-    return PhiImage(_class_index(r - s), Partition(parts))
+    # Zeros may end the head, as for hooks (5, 1); check as Partition(parts) would, in one pass.
+    while parts and not parts[-1]:
+        del parts[-1]
+    if parts and not (parts[-1] > 0 and all(map(operator.ge, parts, parts[1:]))):
+        raise RuntimeError(f"phi image {parts} of ({sc}) is not a partition")
+    return PhiImage(_class_index(r - s), Partition._from_parts(tuple(parts)))
 
 
 def psi(m: int, mu: Partition) -> Partition:
@@ -93,9 +98,11 @@ def psi(m: int, mu: Partition) -> Partition:
     r = found[0]
     s = r - d
 
-    # Column j of the rows after r has mu'_j - r cells exactly when j <= mu_{r+1},
-    # so the tail's conjugate is read off mu's own (kept on mu once computed).
-    gamma = tuple(map((r).__rsub__, mu._conjugate_parts()[: at[r + 1]]))
+    # gamma is the conjugate of the rows after r: column j counts those >= j.
+    tally = [0] * (at[r + 1] + 1)
+    for x in parts[r:]:
+        tally[x] += 1
+    gamma = tuple(accumulate(tally[:0:-1]))[::-1]
     if len(gamma) > s:
         raise RuntimeError(f"conjugate tail exceeds {s} parts for m={m}, mu=({mu})")
     gamma += (0,) * (s - len(gamma))
@@ -142,6 +149,7 @@ def corresponding_partition_after_deletion(mu: Partition, delta1_class: int) -> 
     """
     if delta1_class not in (1, 3):
         raise ValueError(f"delta1_class must be 1 or 3, got {delta1_class}")
+    # Either result of a partition is a partition.
     if delta1_class == 1:
-        return Partition(mu.parts[1:])
-    return Partition([x - 1 for x in mu.parts if x > 1])
+        return Partition._from_parts(mu.parts[1:])
+    return Partition._from_parts(tuple([x - 1 for x in mu.parts if x > 1]))

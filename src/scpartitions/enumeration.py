@@ -2,7 +2,8 @@
 
 Generation order is part of the contract: partitions of n stream in
 reverse lexicographic order, self-conjugate partitions in decreasing
-lexicographic order of their diagonal hook tuples. Count tables are
+lexicographic order of their diagonal hook tuples, each built from its
+parent's rows in one depth-first walk over the hooks. Count tables are
 tuples indexed by weight. A core table is one exhaustive depth-first
 search over the cores of one moduli set (tabulate grows a partition one
 first row or one principal hook at a time, each node its packed beads
@@ -23,12 +24,11 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .bijection import _class_index
-from .partitions import Partition, _is_core, _sc_from_hooks, check_moduli
+from .partitions import Partition, _is_core, check_moduli
 
 __all__ = [
     "partitions_of",
     "partition_count",
-    "distinct_odd_decompositions",
     "self_conjugate_of",
     "tabulate",
     "add_row",
@@ -131,50 +131,50 @@ def partition_count(n: int) -> int:
     return _pcounts[n]
 
 
-def _odd_desc(total: int) -> Iterator[tuple[int, ...]]:
-    # Depth-first over the prefix in stack. first is the candidate for the
-    # next part: the largest odd number below the last part and at most rest.
-    # It is pruned when the distinct odd numbers below it, which sum to at
-    # most half * half, cannot fill what it leaves; then so is every smaller
-    # candidate, and the last part steps down instead.
-    if total == 0:
-        yield ()
+def self_conjugate_of(n: int) -> Iterator[Partition]:
+    """All self-conjugate partitions of n, in decreasing lex order of their diagonal hooks.
+
+    The hooks, strictly decreasing odd numbers summing to n, are walked
+    depth first. first, the candidate for the next hook, is pruned when the
+    distinct odd numbers below it, which sum to at most half * half, cannot
+    fill what it leaves; then so is every smaller one, and the last hook
+    steps down. A node keeps its hooks, its rows head_k = (hook_k - 1) / 2 + k
+    across the diagonal, and the rows below it that its prefix fixes:
+    head_k - head_(k+1) of length k. A leaf of depth d adds head_d - d rows
+    of length d, and its parts are its conjugate's.
+    """
+    _check_nonneg(n)
+    from_parts = Partition._from_parts
+    if n == 0:
+        yield from_parts((), (), ())
         return
-    stack = []
-    rest = total
-    first = total if total % 2 else total - 1
+    stack = []  # (hook, hooks, head, tail) of each node on the path, to step back to
+    hooks = head = tail = ()
+    rest = n
+    first = n if n % 2 else n - 1
     while True:
         half = (first - 1) // 2
         if first > 0 and rest - first <= half * half:
-            stack.append(first)
-            rest -= first
-            if rest:
+            depth = len(hooks)
+            top = half + depth + 1
+            below = (depth,) * (head[-1] - top) + tail if depth else tail
+            if rest > first:
+                stack.append((first, hooks, head, tail))
+                hooks, head, tail = hooks + (first,), head + (top,), below
+                rest -= first
                 first -= 2
                 if first > rest:
                     first = rest if rest % 2 else rest - 1
                 continue
-            yield tuple(stack)
+            parts = head + (top,) + (depth + 1,) * half + below
+            yield from_parts(parts, parts, hooks + (first,))
+            first -= 2
+            continue
         if not stack:
             return
-        first = stack.pop()
+        first, hooks, head, tail = stack.pop()
         rest += first
         first -= 2
-
-
-def distinct_odd_decompositions(n: int) -> Iterator[tuple[int, ...]]:
-    """Strictly decreasing tuples of odd positive integers summing to n.
-
-    These are exactly the diagonal hook sets of self-conjugate partitions
-    of n; tuples stream in decreasing lexicographic order.
-    """
-    _check_nonneg(n)
-    return _odd_desc(n)
-
-
-def self_conjugate_of(n: int) -> Iterator[Partition]:
-    """All self-conjugate partitions of n, via distinct-odd decompositions."""
-    # The decompositions are distinct, odd and decreasing: build them unchecked.
-    yield from map(_sc_from_hooks, distinct_odd_decompositions(n))
 
 
 def tabulate(

@@ -195,7 +195,8 @@ class Partition:
     def _bead_bits(self) -> int:
         # The beads as the set bits of one integer, packed on first use.
         if self._beads is None:
-            self._beads = sum(map((1).__lshift__, self.beta_set()))
+            beta = map(operator.add, self._parts, range(len(self._parts) - 1, -1, -1))
+            self._beads = sum(map((1).__lshift__, beta))
         return self._beads
 
     def diagonal_hooks(self) -> tuple[int, ...]:
@@ -261,16 +262,18 @@ def parse_partition(text: str) -> Partition:
 
 def _validated_deltas(deltas: Iterable[int]) -> tuple[int, ...]:
     ds = tuple(map(operator.index, deltas))
-    # Positive odd hooks pass in C; only an invalid input walks them, to name the first fault.
-    if ds and not (min(ds) >= 1 and all(map((1).__and__, ds))):
+    ordered = sorted(ds, reverse=True)
+    # Positive, odd and strictly decreasing once sorted passes in C; only an
+    # invalid input walks the hooks as given, to name the first fault.
+    decreasing = all(map(operator.gt, ordered, ordered[1:]))
+    if ordered and not (ordered[-1] >= 1 and all(map((1).__and__, ordered)) and decreasing):
         for x in ds:
             if x < 1:
                 raise ValueError(f"diagonal hook {x} is not positive")
             if x % 2 == 0:
                 raise ValueError(f"diagonal hook {x} is even")
-    if len(set(ds)) != len(ds):
-        raise ValueError(f"duplicate diagonal hooks in {sorted(ds, reverse=True)}")
-    return tuple(sorted(ds, reverse=True))
+        raise ValueError(f"duplicate diagonal hooks in {ordered}")
+    return tuple(ordered)
 
 
 def sc_from_diagonal(deltas: Iterable[int]) -> Partition:
@@ -312,7 +315,9 @@ def beta_from_diagonal(deltas: Iterable[int]) -> tuple[int, ...]:
     if not ds:
         return ()
     top = ds[0]
-    upper = {(top + x) // 2 for x in ds}
+    # The rows meeting the diagonal come out decreasing, and each exceeds
+    # (top - 1) / 2, the largest value below it.
+    upper = [(top + x) // 2 for x in ds]
     lower = set(range(1, (top - 1) // 2 + 1))
     lower -= {(top - x) // 2 for x in ds[1:]}
-    return tuple(sorted(upper | lower, reverse=True))
+    return tuple(upper + sorted(lower, reverse=True))

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own formulas: conjugation goes
 through an explicit cell set, hooks are counted by walking boxes, the
 core test looks beads up in a set, distinct odd decompositions come from
-a recursive walk, partitions from a stack walk, and the classical
+a recursive walk and from the flat walk the generator of self-conjugate
+partitions replaced, partitions from a stack walk, and the classical
 sequences come from their recurrences. ``diagonal_sequence_pair`` splits
 the diagonal hooks by residue mod 4, as the paper defines the pair, and
 ``phi_by_definition`` and ``psi_by_definition`` keep the library's
@@ -25,7 +26,6 @@ from scpartitions import (
     TruncatedSeries,
     check_moduli,
     classify,
-    distinct_odd_decompositions,
     partitions_of,
     sc_from_diagonal,
     self_conjugate_of,
@@ -99,6 +99,37 @@ def odd_desc_recursive(total, cap):
             break
         for tail in odd_desc_recursive(rest, first - 2):
             yield (first,) + tail
+        first -= 2
+
+
+def odd_desc_walk(total):
+    """Decreasing tuples of distinct odd parts summing to total, walked flat.
+
+    The library's earlier walk, before the generator built partitions
+    from their parents: depth first over the prefix in stack, with the
+    same order and pruning as odd_desc_recursive.
+    """
+    if total == 0:
+        yield ()
+        return
+    stack = []
+    rest = total
+    first = total if total % 2 else total - 1
+    while True:
+        half = (first - 1) // 2
+        if first > 0 and rest - first <= half * half:
+            stack.append(first)
+            rest -= first
+            if rest:
+                first -= 2
+                if first > rest:
+                    first = rest if rest % 2 else rest - 1
+                continue
+            yield tuple(stack)
+        if not stack:
+            return
+        first = stack.pop()
+        rest += first
         first -= 2
 
 
@@ -246,7 +277,7 @@ def sc_cores_by_brute_force(ts, max_n, m=None):
 
 def sc_counts_by_decomposition(max_n):
     """Per-weight count of self-conjugate partitions: walk every distinct-odd decomposition."""
-    return tuple(sum(1 for _ in distinct_odd_decompositions(n)) for n in range(max_n + 1))
+    return tuple(sum(1 for _ in odd_desc_walk(n)) for n in range(max_n + 1))
 
 
 def dense_product(a, b, order):

@@ -109,6 +109,24 @@ class TestPhi:
             assert phi(sc) == expected, sc
             assert phi(Partition(sc.parts)) == expected, sc
 
+    def test_image_is_a_checked_partition_up_to_60(self):
+        # phi builds its image unchecked after its own test: it must hold no
+        # zero part and be the partition a fresh parse of its parts gives.
+        # Hooks (5, 1) and (9, 5, 1) give a head of zeros only.
+        surplus_only = [sc_from_diagonal([5, 1]), sc_from_diagonal([9, 5, 1])]
+        for sc in [*all_sc(60), *surplus_only]:
+            mu = phi(sc).mu
+            assert 0 not in mu.parts, sc
+            assert mu == Partition(list(mu.parts)), sc
+        assert [phi(sc) for sc in surplus_only] == [(3, Partition()), (5, Partition())]
+
+    def test_rejects_an_image_that_is_no_partition(self):
+        # A partition trusted with hooks out of order maps to the head [-1, 1].
+        bad = Partition._from_parts((3, 1, 1), (3, 1, 1), (1, 5))
+        with pytest.raises(RuntimeError) as excinfo:
+            phi(bad)
+        assert str(excinfo.value) == "phi image [-1, 1] of (3,1,1) is not a partition"
+
 
 class TestPsi:
     def test_golden_examples(self):
@@ -144,7 +162,7 @@ class TestPsi:
                     lam, expected = psi(m, mu), psi_by_definition(m, mu)
                     assert lam == expected, (m, mu)
                     assert lam.diagonal_hooks() == expected.diagonal_hooks(), (m, mu)
-                    # mu keeps its conjugate after the first class; a fresh mu has none.
+                    # psi reads mu's parts alone: a fresh mu maps alike.
                     fresh = psi(m, Partition(mu.parts))
                     assert fresh == expected, (m, mu)
                     assert fresh.diagonal_hooks() == expected.diagonal_hooks(), (m, mu)

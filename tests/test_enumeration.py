@@ -12,7 +12,6 @@ from scpartitions import (
     cli,
     core_product_series,
     count_sc_sim_core_m,
-    distinct_odd_decompositions,
     motzkin,
     partition_count,
     partition_count_table,
@@ -20,6 +19,7 @@ from scpartitions import (
     sc_class_table,
     sc_count_table,
     sc_even_core_product_series,
+    sc_from_diagonal,
     sc_sim_core_count_table,
     self_conjugate_of,
     sim_core_count_table,
@@ -33,6 +33,7 @@ from oracles import (
     cores_by_brute_force,
     motzkin_by_recurrence,
     odd_desc_recursive,
+    odd_desc_walk,
     partitions_brute,
     partitions_by_stack,
     sc_counts_by_decomposition,
@@ -118,10 +119,24 @@ class TestSelfConjugateOf:
         # The generator builds each partition unchecked and takes its parts as
         # its conjugate; check both against conjugation by cells.
         for n in range(41):
-            for deltas, sc in zip(distinct_odd_decompositions(n), self_conjugate_of(n), strict=True):
+            for deltas, sc in zip(odd_desc_walk(n), self_conjugate_of(n), strict=True):
                 assert sc.parts == transpose_by_cells(sc.parts), deltas
                 assert sc.conjugate().parts == transpose_by_cells(sc.parts), deltas
                 assert Partition(sc.parts).diagonal_hooks() == deltas
+
+    def test_matches_reconstruction_from_the_flat_walk_up_to_60(self):
+        # Each partition is built from its parent's rows; it must be the one
+        # sc_from_diagonal builds from the earlier walk's hooks, in the same
+        # order, and carry what a fresh Partition of its parts derives.
+        for n in range(61):
+            generated = list(self_conjugate_of(n))
+            assert generated == [sc_from_diagonal(ds) for ds in odd_desc_walk(n)], n
+            for sc in generated:
+                fresh = Partition(sc.parts)
+                assert sc.parts == fresh.parts
+                assert sc.conjugate().parts == fresh.conjugate().parts, sc
+                assert sc.diagonal_hooks() == fresh.diagonal_hooks(), sc
+                assert sc._bead_bits() == fresh._bead_bits(), sc
 
     def test_matches_filter_oracle_up_to_40(self):
         for n in range(41):
@@ -130,17 +145,17 @@ class TestSelfConjugateOf:
             assert len(generated) == len(set(generated))
             assert set(generated) == filtered
             # count equals the number of distinct-odd decompositions of n
-            assert len(generated) == sum(1 for _ in distinct_odd_decompositions(n))
+            assert len(generated) == sum(1 for _ in odd_desc_walk(n))
 
     def test_walk_matches_recursive_oracle_up_to_90(self):
         for n in range(91):
-            walked = distinct_odd_decompositions(n)
+            walked = (sc.diagonal_hooks() for sc in self_conjugate_of(n))
             for flat, recursive in zip(walked, odd_desc_recursive(n, n), strict=True):
                 assert flat == recursive, n
 
     def test_decompositions_stream_decreasing_lex(self):
         for n in range(31):
-            ds = list(distinct_odd_decompositions(n))
+            ds = [sc.diagonal_hooks() for sc in self_conjugate_of(n)]
             assert ds == sorted(ds, reverse=True)
             for d in ds:
                 assert sum(d) == n

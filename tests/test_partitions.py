@@ -23,6 +23,7 @@ from oracles import (
     hook_vector,
     hooks_by_cells,
     hooks_by_formula,
+    odd_desc_walk,
     transpose_by_cells,
 )
 
@@ -313,23 +314,31 @@ class TestDiagonalHooks:
             sc_from_diagonal([3, 1.5])
         assert str(excinfo.value) == "'float' object cannot be interpreted as an integer"
 
+    def test_reconstruction_names_duplicates_sorted_and_faults_first(self):
+        # Duplicates are named in decreasing order, after the whole input has
+        # passed the positive and odd tests; beta_from_diagonal words them alike.
+        for build in (sc_from_diagonal, beta_from_diagonal):
+            for deltas, message in [
+                ([3, 7, 3], "duplicate diagonal hooks in [7, 3, 3]"),
+                ([3, 3, 4], "diagonal hook 4 is even"),
+            ]:
+                with pytest.raises(ValueError) as excinfo:
+                    build(deltas)
+                assert str(excinfo.value) == message
+
     def test_reconstruction_matches_cell_transpose_up_to_40(self):
         # Rows below the diagonal are built as runs; check them against
         # conjugation by cells, and the diagonal round trip.
-        from scpartitions import distinct_odd_decompositions
-
         for n in range(41):
-            for deltas in distinct_odd_decompositions(n):
+            for deltas in odd_desc_walk(n):
                 sc = sc_from_diagonal(deltas)
                 assert sc.parts == transpose_by_cells(sc.parts), deltas
                 assert sc.weight == n
                 assert Partition(sc.parts).diagonal_hooks() == deltas
 
     def test_round_trip_up_to_60(self):
-        from scpartitions import distinct_odd_decompositions
-
         for n in range(61):
-            for deltas in distinct_odd_decompositions(n):
+            for deltas in odd_desc_walk(n):
                 sc = sc_from_diagonal(deltas)
                 assert sc.weight == n
                 assert Partition(sc.parts).is_self_conjugate()
@@ -343,10 +352,8 @@ class TestBetaFromDiagonal:
         assert beta_from_diagonal([5]) == (5, 2, 1)
 
     def test_agrees_with_direct_beta_up_to_60(self):
-        from scpartitions import distinct_odd_decompositions
-
         for n in range(61):
-            for deltas in distinct_odd_decompositions(n):
+            for deltas in odd_desc_walk(n):
                 assert beta_from_diagonal(deltas) == sc_from_diagonal(deltas).beta_set()
 
 

@@ -117,7 +117,7 @@ def test_verify_loads_no_private_name_of_another_module():
 
 
 # The generators that stream partitions one at a time.
-GENERATORS = {"partitions_of", "self_conjugate_of", "distinct_odd_decompositions"}
+GENERATORS = {"partitions_of", "self_conjugate_of"}
 
 
 def test_no_count_function_walks_the_generators():
@@ -184,7 +184,7 @@ def test_verify_walks_the_self_conjugate_partitions_at_one_site():
     # partition generator only in _walk, and there each of the two once.
     path = Path(scpartitions.__file__).parent / "verify.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    generators = {"self_conjugate_of", "partitions_of", "distinct_odd_decompositions", "_odd_desc"}
+    generators = {"self_conjugate_of", "partitions_of"}
     sites = []
     for top in tree.body:
         for node in ast.walk(top):
@@ -200,13 +200,15 @@ def test_verify_walks_the_self_conjugate_partitions_at_one_site():
     assert sorted(sites) == [("_walk", "partitions_of"), ("_walk", "self_conjugate_of")]
 
 
-# The per-partition primitives the self-conjugate walk calls for every
-# partition, and the core test the core search calls for every child: a
-# generator expression there costs a frame per call.
+# The self-conjugate generator and the per-partition primitives the walk
+# calls for every partition, and the core test the core search calls for
+# every child: a generator expression there costs a frame per call.
 NO_GENERATOR_EXPRESSION = {
+    "enumeration.py": {"self_conjugate_of"},
     "partitions.py": {
         "Partition.is_simultaneous_core", "Partition.hook_multiset", "Partition.beta_set",
         "Partition.disparity", "Partition.diagonal_hooks", "_sc_from_hooks", "_is_core",
+        "_validated_deltas", "beta_from_diagonal",
     },
     "bijection.py": {
         "phi", "psi", "classify", "half_even_beta", "complement_beta",
