@@ -14,7 +14,7 @@ import operator
 from itertools import accumulate
 from typing import NamedTuple
 
-from .partitions import Partition, _sc_from_hooks, sc_from_diagonal
+from .partitions import Partition, sc_from_diagonal
 
 __all__ = [
     "PhiImage",
@@ -53,21 +53,20 @@ def phi(sc: Partition) -> PhiImage:
     Split the diagonal hooks by residue mod 4 into 4a_i + 1 (a_1 > ... >
     a_r >= 0) and 4b_j - 1 (b_1 > ... > b_s >= 1). The image mu has
     mu_i = a_i + i + s - r for i <= r, followed by the conjugate of
-    (b_1 - s, b_2 - s + 1, ..., b_s - 1), whose zero entries contribute
-    nothing. The weights satisfy |sc| = 4|mu| + m(m+1)/2.
+    gamma = (b_1 - s, b_2 - s + 1, ..., b_s - 1), laid out by runs from
+    its largest part s. The weights satisfy |sc| = 4|mu| + m(m+1)/2.
     """
     hooks = sc.diagonal_hooks()
     a = [x >> 2 for x in hooks if x & 3 == 1]
-    b = [(x >> 2) + 1 for x in hooks if x & 3 == 3]
-    r, s = len(a), len(b)
+    c = [x >> 2 for x in hooks if x & 3 == 3]  # c_j = b_j - 1, decreasing from j = 0
+    r, s = len(a), len(c)
     parts = list(map(operator.add, a, range(1 + s - r, 1 + s)))
-    if b:
-        # gamma_j = b_j - s + j (j from 0) needs no check: b strictly decreases with b_j >= 1,
-        # so gamma is a partition. Its conjugate's column k counts the gamma_j >= k.
-        tally = [0] * (b[0] - s + 1)
-        for j, x in enumerate(b, -s):
-            tally[x + j] += 1
-        parts += list(accumulate(tally[:0:-1]))[::-1]
+    if c:
+        # gamma_j = c_j - s + j + 1 (j from 0) is a partition, as c strictly decreases to c_j >= 0.
+        # Its conjugate has part j + 1 gamma_j - gamma_{j+1} times: c_{s-1}, then c_j - c_{j+1} - 1.
+        parts += [s] * c[-1]
+        for j in range(s - 1, 0, -1):
+            parts += [j] * (c[j - 1] - c[j] - 1)
     # Zeros may end the head, as for hooks (5, 1); check as Partition(parts) would, in one pass.
     while parts and not parts[-1]:
         del parts[-1]
@@ -134,18 +133,23 @@ def complement_beta(mu: Partition) -> frozenset:
 
 
 def delete_principal_hook(sc: Partition) -> Partition:
-    """Remove the largest diagonal hook; the weight drops by its length."""
+    """Strip the first row and column, the largest diagonal hook; the weight drops by its length.
+
+    The other rows lose a cell each, those of length 1 vanish, and what is
+    left carries the remaining diagonal hooks.
+    """
     if not sc:
         raise ValueError("empty partition has no principal hook")
-    # The remaining hooks are still distinct, odd and decreasing.
-    return _sc_from_hooks(sc.diagonal_hooks()[1:])
+    hooks, parts = sc.diagonal_hooks(), sc.parts  # ValueError unless self-conjugate
+    rest = tuple([x - 1 for x in parts[1:] if x > 1])
+    return Partition._from_parts(rest, rest, hooks[1:])
 
 
 def corresponding_partition_after_deletion(mu: Partition, delta1_class: int) -> Partition:
     """Image of principal-hook deletion on the corresponding partition.
 
     When the deleted hook is 1 mod 4 the first part of mu is dropped;
-    when it is 3 mod 4 every part is decremented (zeros discarded).
+    when it is 3 mod 4 mu's first column is stripped, as sc's is.
     """
     if delta1_class not in (1, 3):
         raise ValueError(f"delta1_class must be 1 or 3, got {delta1_class}")

@@ -283,12 +283,7 @@ def sc_from_diagonal(deltas: Iterable[int]) -> Partition:
     hooks. Entries may come in any order but must be distinct, odd and
     positive.
     """
-    return _sc_from_hooks(_validated_deltas(deltas))
-
-
-def _sc_from_hooks(ds: tuple[int, ...]) -> Partition:
-    # ds: distinct odd positive diagonal hooks, decreasing (as _validated_deltas
-    # returns them and the generator yields them); nothing is checked.
+    ds = _validated_deltas(deltas)
     d = len(ds)
     head = [(x - 1) // 2 + i for i, x in enumerate(ds, start=1)]
     parts = list(head)

@@ -233,6 +233,17 @@ class TestPrincipalHookDeletion:
         with pytest.raises(ValueError):
             delete_principal_hook(Partition())
 
+    def test_rows_agree_with_carried_hooks_up_to_60(self):
+        # prop4.4 hands phi only the carried hooks, so the stripped rows are
+        # checked here, on partitions as built and as parsed from their parts.
+        for built in all_sc(60):
+            for sc in (built, Partition(built.parts)):
+                if not sc:
+                    continue
+                d = delete_principal_hook(sc)
+                assert d == sc_from_diagonal(sc.diagonal_hooks()[1:])
+                assert Partition(d.parts).diagonal_hooks() == d.diagonal_hooks()
+
 
 class TestDeletionCorrespondence:
     def test_examples(self):
@@ -240,6 +251,8 @@ class TestDeletionCorrespondence:
         assert corresponding_partition_after_deletion(MU, 3) == Partition([3, 2, 2, 1])
         assert corresponding_partition_after_deletion(Partition(), 1) == Partition()
         assert corresponding_partition_after_deletion(Partition(), 3) == Partition()
+        assert corresponding_partition_after_deletion(Partition([1, 1, 1]), 3) == Partition()
+        assert corresponding_partition_after_deletion(Partition([2, 1, 1]), 3) == Partition([1])
 
     def test_bad_class_rejected(self):
         with pytest.raises(ValueError):

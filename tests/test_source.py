@@ -207,7 +207,7 @@ NO_GENERATOR_EXPRESSION = {
     "enumeration.py": {"self_conjugate_of"},
     "partitions.py": {
         "Partition.is_simultaneous_core", "Partition.hook_multiset", "Partition.beta_set",
-        "Partition.disparity", "Partition.diagonal_hooks", "_sc_from_hooks", "_is_core",
+        "Partition.disparity", "Partition.diagonal_hooks", "sc_from_diagonal", "_is_core",
         "_validated_deltas", "beta_from_diagonal",
     },
     "bijection.py": {

@@ -425,20 +425,34 @@ def test_thm31_mu_side_catches_a_builder_that_keeps_its_hooks(monkeypatch):
     # phi on psi's output would read those hooks back and round-trip; the mu
     # side must derive the hooks from the parts. Only weights above 40 are
     # wrong, which max_weight=0 leaves to the mu side (weights up to 69).
-    from scpartitions import partitions
+    # psi builds through bijection.sc_from_diagonal, which is patched there.
+    build = verify.bijection.sc_from_diagonal
 
-    build = partitions._sc_from_hooks
-
-    def faulty(ds):
+    def faulty(deltas):
+        ds = build(deltas).diagonal_hooks()
         if sum(ds) <= 40 or len(ds) < 2:
             return build(ds)
         wrong = build(ds[:1] + ds[2:]).parts
         return Partition._from_parts(wrong, wrong, ds)
 
-    monkeypatch.setattr(partitions, "_sc_from_hooks", faulty)
+    monkeypatch.setattr(verify.bijection, "sc_from_diagonal", faulty)
     report = verify.run_check("thm3.1", max_weight=0)
     assert not report.passed
     assert report.counterexample["reason"] == "phi(psi) round trip"
+
+
+def test_prop44_catches_a_deletion_that_drops_the_smallest_hook(monkeypatch):
+    # DEFECT_TABLE breaks prop4.4's shortcut; this breaks its direct route.
+    # The deleted partition carries hooks[:-1], the principal hook kept and
+    # the smallest dropped, and phi reads only the carried hooks.
+    def faulty(sc):
+        return verify.bijection.sc_from_diagonal(sc.diagonal_hooks()[:-1])
+
+    monkeypatch.setattr(verify.bijection, "delete_principal_hook", faulty)
+    report = verify.run_check("prop4.4")
+    assert not report.passed
+    assert report.cases == 5
+    assert report.counterexample["partition"] == "3,2,1"
 
 
 @pytest.mark.parametrize("flipped", [1, 2, 5, 7, 12, 15])
